@@ -7,7 +7,7 @@ topological order and accumulates into ``Tensor.grad``.
 
 Shape discipline is strict: binary elementwise ops require equal shapes,
 the only implicit broadcast is scalar-with-tensor.  Everything else is a
-named structured op (``add_rowvec``, ``scale_rows``, ...) whose shape
+named structured op (``add_rowvec``, ``diag_part``, ...) whose shape
 contract is part of its signature.  Every forward result is checked for
 NaN/Inf and raises NumericError immediately, so a diverging computation
 fails at the op that produced it rather than at the loss.
@@ -218,10 +218,11 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def _unary(a: Tensor, fwd, dfn, name: str) -> Tensor:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = Tensor(fwd(a.data), _parents=(a,), _op=name)
+    y = out.data    # not ``out``: a closure holding its own node makes the graph a cycle
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accum_cot(dfn(g, a.data, out.data))
+            a._accum_cot(dfn(g, a.data, y))
 
     out._backward_fn = bwd
     return out
@@ -231,22 +232,14 @@ def neg(a: Tensor) -> Tensor:
     return _unary(a, lambda x: -x, lambda g, x, y: -g, "neg")
 
 
-def exp(a: Tensor) -> Tensor:
-    return _unary(a, np.exp, lambda g, x, y: g * y, "exp")
-
-
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise NumericError("log of non-positive value")
     return _unary(a, np.log, lambda g, x, y: g / x, "log")
 
 
-def relu(a: Tensor) -> Tensor:
-    return _unary(a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0), "relu")
-
-
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    # Subgradient at 0 follows the negative branch (slope), like the relu 0.
+    # Subgradient at 0 follows the negative branch (slope).
     return _unary(
         a,
         lambda x: np.where(x > 0.0, x, slope * x),
@@ -300,36 +293,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
             a._accum_cot(g.reshape(a.shape))
-
-    out._backward_fn = bwd
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out = Tensor(a.data.T, _parents=(a,), _op="transpose")
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum_cot(g.T)
-
-    out._backward_fn = bwd
-    return out
-
-
-def stack_cols(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors [n] into a matrix [n x K]."""
-    n = vectors[0].data.shape
-    for v in vectors:
-        if v.ndim != 1 or v.shape != n:
-            raise ShapeError("stack_cols expects equal-length vectors")
-    out = Tensor(np.stack([v.data for v in vectors], axis=1), _parents=tuple(vectors), _op="stack_cols")
-
-    def bwd(g: np.ndarray) -> None:
-        for j, v in enumerate(vectors):
-            if v.requires_grad:
-                v._accum_cot(g[:, j])
 
     out._backward_fn = bwd
     return out
@@ -409,130 +372,118 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     return out
 
 
-def sub_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Subtract a vector [d] from every row of a matrix [n x d]."""
-    return add_rowvec(x, neg(v))
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of a matrix [n x d] by scalar s[i]."""
-    if x.ndim != 2 or s.ndim != 1 or x.shape[0] != s.shape[0]:
-        raise ShapeError(f"scale_rows: incompatible shapes {x.shape} and {s.shape}")
-    out = Tensor(x.data * s.data[:, None], _parents=(x, s), _op="scale_rows")
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accum_cot(g * s.data[:, None])
-        if s.requires_grad:
-            s._accum_cot((g * x.data).sum(axis=1))
-
-    out._backward_fn = bwd
-    return out
-
-
-def select_col(x: Tensor, j: int) -> Tensor:
-    """Column j of a matrix [n x K] as a vector [n]."""
-    if x.ndim != 2 or not (0 <= j < x.shape[1]):
-        raise ShapeError(f"select_col: column {j} of shape {x.shape}")
-    out = Tensor(x.data[:, j].copy(), _parents=(x,), _op="select_col")
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[:, j] = g
-            x._accum_cot(full)
-
-    out._backward_fn = bwd
-    return out
-
-
-def take(x: Tensor, i: int) -> Tensor:
-    """Element i of a vector [n] as a scalar."""
-    if x.ndim != 1 or not (0 <= i < x.shape[0]):
-        raise ShapeError(f"take: index {i} of shape {x.shape}")
-    out = Tensor(x.data[i], _parents=(x,), _op="take")
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[i] = g
-            x._accum_cot(full)
-
-    out._backward_fn = bwd
-    return out
-
-
 def diag_part(a: Tensor) -> Tensor:
-    """Diagonal of a square matrix as a vector."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"diag_part expects a square matrix, got {a.shape}")
-    out = Tensor(np.diagonal(a.data).copy(), _parents=(a,), _op="diag_part")
+    """Diagonals of a square matrix [d x d] or of a stack [K x d x d],
+    as [d] or [K x d]."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ShapeError(f"diag_part expects square matrices, got {a.shape}")
+    idx = np.arange(a.shape[-1])
+    out = Tensor(a.data[..., idx, idx], _parents=(a,), _op="diag_part")
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.fill_diagonal(full, g)
+            full[..., idx, idx] = g
             a._accum_cot(full)
 
     out._backward_fn = bwd
     return out
 
 
-def symmetrize(a: Tensor) -> Tensor:
-    """(A + Aᵀ)/2; linear and self-adjoint, so backward is itself."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"symmetrize expects a square matrix, got {a.shape}")
-    out = Tensor((a.data + a.data.T) / 2.0, _parents=(a,), _op="symmetrize")
+# ---------------------------------------------------------------------------
+# Gaussian-mixture ops, batched over components
+# ---------------------------------------------------------------------------
 
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum_cot((g + g.T) / 2.0)
-
-    out._backward_fn = bwd
-    return out
+_LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 
-def _cholesky_or_raise(a: np.ndarray, op: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as err:
-        raise NumericError(f"{op}: matrix is not positive definite") from err
+def mixture_moments(z: Tensor, gamma: Tensor, eps: float, degenerate_mass: float) -> tuple[Tensor, Tensor]:
+    """Membership-weighted means [K x d] and covariances [K x d x d].
 
+    For component k with mass s_k = Σ_i γ_ik:
 
-def matrix_inverse_psd(a: Tensor) -> Tensor:
-    """Inverse of a positive-definite matrix.
+        mean_k = Σ_i γ_ik z_i / s_k
+        cov_k  = sym(Σ_i γ_ik (z_i - mean_k)(z_i - mean_k)ᵀ / s_k) + eps·I
 
-    Positive definiteness is checked with a Cholesky factorization, but
-    value and gradient use general-matrix semantics (d(A⁻¹) = -A⁻¹ dA A⁻¹
-    with transposes), so every matrix entry is an independent variable.
+    A component with s_k < degenerate_mass gets the batch mean and
+    eps·I, and passes no gradient to gamma.  The covariance backward has
+    no term through the mean, because Σ_i γ_ik (z_i - mean_k) = 0.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"matrix_inverse_psd expects a square matrix, got {a.shape}")
-    _cholesky_or_raise(a.data, "matrix_inverse_psd")
-    inv = np.linalg.inv(a.data)
-    out = Tensor(inv, _parents=(a,), _op="matrix_inverse_psd")
+    if z.ndim != 2 or gamma.ndim != 2 or z.shape[0] != gamma.shape[0]:
+        raise ShapeError(f"mixture_moments: incompatible shapes {z.shape} and {gamma.shape}")
+    n, d = z.shape
+    mass = gamma.data.sum(axis=0)
+    dead = mass < degenerate_mass
+    inv_mass = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, mass))
+    w = gamma.data * inv_mass                                # [n x K], zero columns for dead components
+    mean_values = w.T @ z.data
+    mean_values[dead] = z.data.mean(axis=0)
+    centered = z.data[None, :, :] - mean_values[:, None, :]  # [K x n x d]
+    weighted = w.T[:, :, None] * centered
+    scatter = weighted.transpose(0, 2, 1) @ centered
+    cov_values = (scatter + scatter.transpose(0, 2, 1)) / 2.0 + eps * np.eye(d)
+
+    means = Tensor(mean_values, _parents=(z, gamma), _op="mixture_means")
+    covs = Tensor(cov_values, _parents=(z, gamma), _op="mixture_covariances")
+
+    def means_bwd(g: np.ndarray) -> None:
+        if z.requires_grad:
+            z._accum_cot(w @ g + g[dead].sum(axis=0) / n)
+        if gamma.requires_grad:
+            gamma._accum_cot(np.einsum("kid,kd->ik", centered, g) * inv_mass)
+
+    def covs_bwd(g: np.ndarray) -> None:
+        g_sym = (g + g.transpose(0, 2, 1)) / 2.0
+        projected = centered @ g_sym                          # [K x n x d]
+        if z.requires_grad:
+            z._accum_cot(2.0 * (w.T[:, :, None] * projected).sum(axis=0))
+        if gamma.requires_grad:
+            quad = (projected * centered).sum(axis=2)         # [K x n]
+            inner = (g_sym * scatter).sum(axis=(1, 2))
+            gamma._accum_cot(((quad - inner[:, None]) * inv_mass[:, None]).T)
+
+    means._backward_fn = means_bwd
+    covs._backward_fn = covs_bwd
+    return means, covs
+
+
+def gaussian_log_densities(z: Tensor, means: Tensor, covs: Tensor) -> Tensor:
+    """log N(z_i; mean_k, cov_k) for samples [n x d] and components
+    ([K x d], [K x d x d]), as [n x K].
+
+    Each covariance is read as (C + Cᵀ)/2 and factorised once.  With
+    r_ik = cov_k⁻¹ (z_i - mean_k), the covariance gradient is
+    ½ Σ_i g_ik (r_ik r_ikᵀ - cov_k⁻¹), exact for every entry of C.
+    """
+    if (z.ndim != 2 or means.ndim != 2 or covs.ndim != 3 or z.shape[1] != means.shape[1]
+            or covs.shape != (means.shape[0], means.shape[1], means.shape[1])):
+        raise ShapeError(
+            f"gaussian_log_densities: incompatible shapes {z.shape}, {means.shape}, {covs.shape}"
+        )
+    d = z.shape[1]
+    try:
+        chol = np.linalg.cholesky((covs.data + covs.data.transpose(0, 2, 1)) / 2.0)
+    except np.linalg.LinAlgError as err:
+        raise NumericError("gaussian_log_densities: covariance is not positive definite") from err
+    centered = z.data[None, :, :] - means.data[:, None, :]   # [K x n x d]
+    solved = np.linalg.solve(chol, centered.transpose(0, 2, 1))  # L⁻¹ (z_i - mean_k), [K x d x n]
+    quad = (solved * solved).sum(axis=1)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    out = Tensor((-0.5 * (quad + logdet[:, None] + d * _LOG_TWO_PI)).T,
+                 _parents=(z, means, covs), _op="gaussian_log_densities")
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum_cot(-inv.T @ g @ inv.T)
-
-    out._backward_fn = bwd
-    return out
-
-
-def logdet_psd(a: Tensor) -> Tensor:
-    """log|A| for a positive-definite matrix; backward is A⁻ᵀ."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"logdet_psd expects a square matrix, got {a.shape}")
-    _cholesky_or_raise(a.data, "logdet_psd")
-    sign, ld = np.linalg.slogdet(a.data)
-    if sign <= 0.0:
-        raise NumericError("logdet_psd: non-positive determinant")
-    out = Tensor(ld, _parents=(a,), _op="logdet_psd")
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accum_cot(float(g) * np.linalg.inv(a.data).T)
+        chol_t = chol.transpose(0, 2, 1)
+        r = np.linalg.solve(chol_t, solved).transpose(0, 2, 1)  # [K x n x d]
+        gr = g.T[:, :, None] * r
+        if z.requires_grad:
+            z._accum_cot(-gr.sum(axis=0))
+        if means.requires_grad:
+            means._accum_cot(gr.sum(axis=1))
+        if covs.requires_grad:
+            eye = np.broadcast_to(np.eye(d), chol.shape)
+            inv = np.linalg.solve(chol_t, np.linalg.solve(chol, eye))
+            covs._accum_cot(0.5 * (gr.transpose(0, 2, 1) @ r - g.sum(axis=0)[:, None, None] * inv))
 
     out._backward_fn = bwd
     return out

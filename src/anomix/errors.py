@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the toolkit.
 
-The CLI maps these onto process exit codes (see cli.EXIT_*): config
-problems exit 1, data problems exit 2, numeric failures exit 3 and
-verification failures exit 4.
+Every error derives from AnomixError; the four families are config
+problems, data problems (DataError and its subclasses), numeric failures
+and verification failures.
 """
 
 

@@ -126,7 +126,9 @@ class PatchSet:
 def decode_wav(path) -> AudioClip:
     """Decode a RIFF/WAVE PCM 16-bit file; stereo is averaged to mono.
 
-    Samples are scaled to [-1, 1] by dividing by 32768.
+    Samples are scaled to [-1, 1] by dividing by 32768.  A file whose
+    data chunk holds fewer bytes than its header declares raises
+    FormatError.
     """
     try:
         with wave.open(str(path), "rb") as wav:
@@ -144,6 +146,9 @@ def decode_wav(path) -> AudioClip:
         raise UnsupportedFormatError(f"{path}: compressed WAV ({comp}) is not supported")
     if sample_width != 2:
         raise UnsupportedFormatError(f"{path}: only PCM 16-bit is supported, got {8 * sample_width}-bit")
+    declared = n_frames * n_channels * sample_width
+    if len(raw) != declared:
+        raise FormatError(f"{path}: data chunk holds {len(raw)} bytes, header declares {declared}")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if n_channels > 1:
         data = data.reshape(-1, n_channels).mean(axis=1)

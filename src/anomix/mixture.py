@@ -1,17 +1,20 @@
 """Gaussian-mixture estimation, sample energy, and the classical EM oracle.
 
-Two routes compute the same mixture statistics:
+The mixture is held as stacked tensors: weights [K], means [K x d] and
+covariances [K x d x d].  Two routes compute the same mixture statistics:
 
 * ``estimate_gmm`` builds them inside the autodiff graph from soft
-  memberships, so gradients flow back into both the latent batch and
-  the membership matrix during training.
+  memberships with one batched op (``autodiff.mixture_moments``), so
+  gradients flow back into both the latent batch and the membership
+  matrix during training.
 * ``em_fit`` / ``_m_step`` are a plain-numpy classical EM implementation,
   written independently, whose M-step must agree with ``estimate_gmm``
   to 1e-12 on identical responsibilities (``cross_check_estimation``).
 
-Energies are computed in log space with log-sum-exp; evaluating the
-mixture density directly underflows for samples far from every
-component.
+Energies are computed in log space with log-sum-exp over the batched
+component log densities (``autodiff.gaussian_log_densities``);
+evaluating the mixture density directly underflows for samples far
+from every component.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class GmmParams:
-    """Mixture weights, means, and full covariance matrices.
+    """Mixture weights, means, and full covariance matrices, stacked over
+    the K components.
 
     All fields are graph tensors so downstream energies stay
     differentiable; use ``from_arrays`` to wrap plain numpy values
@@ -39,8 +43,8 @@ class GmmParams:
     """
 
     alpha: Tensor               # [K]
-    means: list                 # K tensors of shape [d]
-    covariances: list           # K tensors of shape [d, d]
+    means: Tensor               # [K x d]
+    covariances: Tensor         # [K x d x d]
 
     @property
     def n_components(self) -> int:
@@ -48,21 +52,14 @@ class GmmParams:
 
     @property
     def dim(self) -> int:
-        return self.means[0].shape[0]
+        return self.means.shape[1]
 
     @classmethod
     def from_arrays(cls, alpha: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> "GmmParams":
-        return cls(
-            alpha=Tensor(alpha),
-            means=[Tensor(means[k]) for k in range(len(alpha))],
-            covariances=[Tensor(covariances[k]) for k in range(len(alpha))],
-        )
+        return cls(alpha=Tensor(alpha), means=Tensor(means), covariances=Tensor(covariances))
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        alpha = self.alpha.data.copy()
-        means = np.stack([m.data for m in self.means])
-        covs = np.stack([c.data for c in self.covariances])
-        return alpha, means, covs
+        return self.alpha.data.copy(), self.means.data.copy(), self.covariances.data.copy()
 
     def validate(self, atol: float = 1e-9) -> None:
         """Raise NumericError if any invariant fails.
@@ -99,66 +96,29 @@ def estimate_gmm(z: Tensor, gamma: Tensor, eps: float = DEFAULT_COV_EPS) -> GmmP
     """
     if z.ndim != 2 or gamma.ndim != 2 or z.shape[0] != gamma.shape[0]:
         raise InvalidInputError(f"incompatible latent/membership shapes {z.shape} and {gamma.shape}")
-    n, d = z.shape
-    k_components = gamma.shape[1]
+    n = z.shape[0]
     if n < 2:
         raise InvalidInputError("mixture estimation needs at least 2 samples")
     if eps < 0.0:
         raise InvalidInputError("covariance floor must be nonnegative")
 
-    eye = Tensor(np.eye(d) * eps)
     alpha = ad.mul(ad.sum_axis(gamma, 0), 1.0 / n)
-
-    means = []
-    covariances = []
-    global_mean = None
-    zt = ad.transpose(z)
-    for k in range(k_components):
-        resp_k = ad.select_col(gamma, k)
-        mass_k = ad.tensor_sum(resp_k)
-        if mass_k.item() < DEGENERATE_MASS:
-            if global_mean is None:
-                global_mean = ad.mul(ad.sum_axis(z, 0), 1.0 / n)
-            means.append(global_mean)
-            covariances.append(Tensor(np.eye(d) * eps))
-            continue
-        inv_mass = ad.div(Tensor(1.0), mass_k)
-        mean_k = ad.mul(ad.reshape(ad.matmul(zt, ad.reshape(resp_k, (n, 1))), (d,)), inv_mass)
-        centered = ad.sub_rowvec(z, mean_k)
-        weighted = ad.scale_rows(centered, resp_k)
-        scatter = ad.mul(ad.matmul(ad.transpose(weighted), centered), inv_mass)
-        covariances.append(ad.add(ad.symmetrize(scatter), eye))
-        means.append(mean_k)
-
+    means, covariances = ad.mixture_moments(z, gamma, eps, DEGENERATE_MASS)
     return GmmParams(alpha=alpha, means=means, covariances=covariances)
-
-
-def component_log_densities(z: Tensor, params: GmmParams) -> Tensor:
-    """Per-sample, per-component log(weight_k · N(z; mean_k, cov_k)) as [n x K]."""
-    zb = z if z.ndim == 2 else ad.reshape(z, (1, z.shape[0]))
-    d = params.dim
-    log_alpha = ad.log(ad.clip(params.alpha, 1e-300, np.inf))
-    cols = []
-    for k in range(params.n_components):
-        diff = ad.sub_rowvec(zb, params.means[k])
-        inv_cov = ad.matrix_inverse_psd(params.covariances[k])
-        quad = ad.sum_axis(ad.mul(ad.matmul(diff, inv_cov), diff), 1)
-        log_norm = ad.mul(ad.add(ad.logdet_psd(params.covariances[k]), d * LOG_TWO_PI), -0.5)
-        log_weight = ad.take(log_alpha, k)
-        cols.append(ad.add(ad.mul(quad, -0.5), ad.add(log_norm, log_weight)))
-    return ad.stack_cols(cols)
 
 
 def energy_batch(z: Tensor, params: GmmParams) -> Tensor:
     """Negative log mixture density for each row of a latent batch [n x d]."""
-    return ad.neg(ad.logsumexp_rows(component_log_densities(z, params)))
+    log_alpha = ad.log(ad.clip(params.alpha, 1e-300, np.inf))
+    log_densities = ad.gaussian_log_densities(z, params.means, params.covariances)
+    return ad.neg(ad.logsumexp_rows(ad.add_rowvec(log_densities, log_alpha)))
 
 
 def energy(z: Tensor, params: GmmParams) -> Tensor:
     """Negative log mixture density of one latent vector [d]."""
     if z.ndim != 1:
         raise InvalidInputError(f"energy expects a single vector, got shape {z.shape}")
-    return ad.take(energy_batch(z, params), 0)
+    return ad.reshape(energy_batch(ad.reshape(z, (1, z.shape[0])), params), ())
 
 
 def estimation_loss(
@@ -178,10 +138,7 @@ def estimation_loss(
     mixture can collapse onto single samples.
     """
     total_energy = ad.tensor_sum(energy_batch(z_batch, params))
-    penalty = None
-    for cov in params.covariances:
-        term = ad.tensor_sum(ad.div(Tensor(1.0), ad.diag_part(cov)))
-        penalty = term if penalty is None else ad.add(penalty, term)
+    penalty = ad.tensor_sum(ad.div(Tensor(1.0), ad.diag_part(params.covariances)))
     return ad.add(ad.mul(total_energy, lambda1), ad.mul(penalty, lambda2))
 
 

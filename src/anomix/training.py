@@ -219,13 +219,16 @@ def fit(
     """Train on normal patches; returns the model, stats, and deployment
     mixture, writing checkpoints and per-step metrics when paths are given.
 
-    Runs epochs * floor(n/batch_size) steps with per-epoch shuffling.
+    Runs epochs * floor(n/batch_size) steps with per-epoch shuffling; a
+    set of fewer than batch_size patches is rejected before training.
     On a numeric failure training aborts but the last written checkpoint
     stays on disk.
     """
     config.validate()
-    if len(patches) < 2:
-        raise InvalidInputError("training needs at least 2 patches")
+    if len(patches) < config.batch_size:
+        raise InvalidInputError(
+            f"training needs at least batch_size={config.batch_size} patches, got {len(patches)}"
+        )
     if np.any(patches.labels == LABEL_ANOMALOUS):
         raise DataError("training data must contain only normal patches")
     bands, frames = patches.shape
@@ -274,9 +277,6 @@ def fit(
         final_gmm = full_dataset_mixture(state.model, design, config.cov_eps)
         final_gmm.validate()
         write_checkpoint(final_gmm)
-    except NumericError:
-        # Leave the last good checkpoint in place for post-mortem scoring.
-        raise
     finally:
         if metrics_file:
             metrics_file.close()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anomix import autodiff as ad
+from anomix import verify
 from anomix.errors import NumericError, ShapeError
 
 REL_TOL = 1e-5
@@ -28,13 +29,6 @@ class TestElementwise:
         y = ad.sigmoid(x)
         np.testing.assert_allclose(y.data, [0.0, 1.0], atol=1e-12)
 
-    def test_relu_negative(self):
-        x = ad.Tensor([-3.0], requires_grad=True)
-        y = ad.tensor_sum(ad.relu(x))
-        assert y.item() == 0.0
-        ad.backward(y)
-        assert x.grad[0] == 0.0
-
     def test_leaky_relu_values(self):
         x = ad.Tensor([-2.0, 3.0])
         np.testing.assert_allclose(ad.leaky_relu(x, 0.2).data, [-0.4, 3.0])
@@ -52,16 +46,10 @@ class TestElementwise:
         np.testing.assert_allclose((x * 2.0).data, [2.0, 4.0])
         np.testing.assert_allclose((3.0 - x).data, [2.0, 1.0])
 
-    def test_exp_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        x = rand(rng, 5)
-        err = ad.gradient_check(lambda: ad.tensor_sum(ad.exp(x)), x)
-        assert err < 1e-6
-
     def test_nonfinite_forward_raises(self):
-        x = ad.Tensor([1000.0])
+        x = ad.Tensor([1e200])
         with pytest.raises(NumericError):
-            ad.exp(x)
+            ad.mul(x, x)
 
 
 class TestMatmul:
@@ -169,7 +157,7 @@ class TestGraph:
     def test_backward_requires_scalar(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
-            ad.backward(ad.exp(x))
+            ad.backward(ad.neg(x))
 
     def test_repeated_backward_accumulates(self):
         x = ad.Tensor([2.0], requires_grad=True)
@@ -184,7 +172,7 @@ class TestGraph:
 
         def run():
             t = ad.Tensor(x)
-            return ad.softmax_rows(ad.matmul(ad.tanh(t), ad.transpose(t))).data.tobytes()
+            return ad.softmax_rows(ad.matmul(ad.tanh(t), t)).data.tobytes()
 
         assert run() == run()
 
@@ -201,88 +189,53 @@ class TestStructuredOps:
         v = ad.Tensor([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(ad.add_rowvec(x, v).data, [[1, 2, 3], [1, 2, 3]])
 
-    def test_scale_rows(self):
-        x = ad.Tensor(np.ones((2, 3)))
-        s = ad.Tensor([2.0, -1.0])
-        np.testing.assert_array_equal(ad.scale_rows(x, s).data, [[2, 2, 2], [-1, -1, -1]])
-
-    def test_select_and_take(self):
-        m = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(ad.select_col(m, 1).data, [2.0, 4.0])
-        assert ad.take(ad.Tensor([5.0, 6.0]), 1).item() == 6.0
-
     def test_logsumexp_rows_matches_naive(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(-5, 5, size=(10, 3))
         got = ad.logsumexp_rows(ad.Tensor(x)).data
         np.testing.assert_allclose(got, np.log(np.exp(x).sum(axis=1)), rtol=1e-12)
 
-    def test_matrix_inverse_psd(self):
+    def test_diag_part_of_stack(self):
+        stack = ad.Tensor(np.arange(18.0).reshape(2, 3, 3))
+        np.testing.assert_array_equal(ad.diag_part(stack).data, [[0, 4, 8], [9, 13, 17]])
+
+    def test_gaussian_log_densities_match_naive(self):
         rng = np.random.default_rng(6)
-        m = rng.standard_normal((4, 4))
-        a = m @ m.T + 4.0 * np.eye(4)
-        inv = ad.matrix_inverse_psd(ad.Tensor(a)).data
-        np.testing.assert_allclose(inv @ a, np.eye(4), atol=1e-10)
+        z = rng.standard_normal((5, 3))
+        means = rng.standard_normal((2, 3))
+        m = rng.standard_normal((2, 3, 3))
+        covs = m @ m.transpose(0, 2, 1) + np.eye(3)
+        got = ad.gaussian_log_densities(ad.Tensor(z), ad.Tensor(means), ad.Tensor(covs)).data
+        for k in range(2):
+            diff = z - means[k]
+            quad = np.einsum("id,de,ie->i", diff, np.linalg.inv(covs[k]), diff)
+            want = -0.5 * (quad + np.log(np.linalg.det(2.0 * math.pi * covs[k])))
+            np.testing.assert_allclose(got[:, k], want, rtol=1e-12)
 
-    def test_matrix_inverse_rejects_indefinite(self):
+    def test_gaussian_log_densities_diagonal_value(self):
+        covs = ad.Tensor(np.diag([1.0, 4.0, 9.0])[None])
+        got = ad.gaussian_log_densities(ad.Tensor(np.zeros((1, 3))), ad.Tensor(np.zeros((1, 3))), covs)
+        assert got.item() == pytest.approx(-0.5 * (3.0 * math.log(2.0 * math.pi) + math.log(36.0)), rel=1e-12)
+
+    def test_gaussian_log_densities_read_the_symmetric_part(self):
+        rng = np.random.default_rng(8)
+        z = ad.Tensor(rng.standard_normal((4, 2)))
+        means = ad.Tensor(np.zeros((1, 2)))
+        skew = np.array([[[0.0, 0.3], [-0.3, 0.0]]])
+        plain = ad.gaussian_log_densities(z, means, ad.Tensor(np.eye(2)[None])).data
+        skewed = ad.gaussian_log_densities(z, means, ad.Tensor(np.eye(2)[None] + skew)).data
+        np.testing.assert_array_equal(plain, skewed)
+
+    def test_gaussian_log_densities_reject_indefinite(self):
+        covs = ad.Tensor(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
         with pytest.raises(NumericError):
-            ad.matrix_inverse_psd(ad.Tensor([[1.0, 0.0], [0.0, -1.0]]))
-
-    def test_logdet_psd_value(self):
-        a = np.diag([1.0, 4.0, 9.0])
-        assert ad.logdet_psd(ad.Tensor(a)).item() == pytest.approx(math.log(36.0), rel=1e-12)
-
-
-def _gradcheck_cases(rng):
-    """One scalar-valued closure per differentiable op, at random inputs."""
-    a = rand(rng, 4, 3)
-    b = rand(rng, 4, 3)
-    v = rand(rng, 3)
-    s = rand(rng, 4)
-    m = rng.standard_normal((3, 3))
-    psd = ad.Tensor(m @ m.T + 3.0 * np.eye(3), requires_grad=True)
-    w = ad.Tensor(rng.standard_normal((4, 3)))
-    w2 = ad.Tensor(rng.standard_normal((4, 2)))
-    pos = ad.Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)
-    return [
-        ("add", lambda: ad.tensor_sum(ad.mul(ad.add(a, b), w)), a),
-        ("sub", lambda: ad.tensor_sum(ad.mul(ad.sub(a, b), w)), b),
-        ("mul", lambda: ad.tensor_sum(ad.mul(ad.mul(a, b), w)), a),
-        ("div", lambda: ad.tensor_sum(ad.div(a, pos)), pos),
-        ("neg", lambda: ad.tensor_sum(ad.mul(ad.neg(a), w)), a),
-        ("exp", lambda: ad.tensor_sum(ad.exp(a)), a),
-        ("log", lambda: ad.tensor_sum(ad.log(pos)), pos),
-        ("relu", lambda: ad.tensor_sum(ad.mul(ad.relu(a), w)), a),
-        ("leaky_relu", lambda: ad.tensor_sum(ad.mul(ad.leaky_relu(a, 0.2), w)), a),
-        ("tanh", lambda: ad.tensor_sum(ad.mul(ad.tanh(a), w)), a),
-        ("sigmoid", lambda: ad.tensor_sum(ad.mul(ad.sigmoid(a), w)), a),
-        ("abs", lambda: ad.tensor_sum(ad.absolute(a)), a),
-        ("matmul", lambda: ad.tensor_sum(ad.matmul(ad.transpose(a), b)), a),
-        ("transpose", lambda: ad.tensor_sum(ad.mul(ad.transpose(a), ad.Tensor(w.data.T))), a),
-        ("reshape", lambda: ad.tensor_sum(ad.mul(ad.reshape(a, (2, 6)), ad.Tensor(w.data.reshape(2, 6)))), a),
-        ("sum", lambda: ad.tensor_sum(a), a),
-        ("mean", lambda: ad.mean(a), a),
-        ("sum_axis0", lambda: ad.tensor_sum(ad.mul(ad.sum_axis(a, 0), v)), a),
-        ("sum_axis1", lambda: ad.tensor_sum(ad.mul(ad.sum_axis(a, 1), s)), a),
-        ("softmax_rows", lambda: ad.tensor_sum(ad.mul(ad.softmax_rows(a), w)), a),
-        ("logsumexp_rows", lambda: ad.tensor_sum(ad.mul(ad.logsumexp_rows(a), s)), a),
-        ("add_rowvec", lambda: ad.tensor_sum(ad.mul(ad.add_rowvec(a, v), w)), v),
-        ("scale_rows", lambda: ad.tensor_sum(ad.mul(ad.scale_rows(a, s), w)), s),
-        ("select_col", lambda: ad.tensor_sum(ad.mul(ad.select_col(a, 1), s)), a),
-        ("take", lambda: ad.take(v, 2), v),
-        ("stack_cols", lambda: ad.tensor_sum(ad.mul(ad.stack_cols([s, ad.mul(s, s)]), w2)), s),
-        ("diag_part", lambda: ad.tensor_sum(ad.diag_part(psd)), psd),
-        ("symmetrize", lambda: ad.tensor_sum(ad.mul(ad.symmetrize(psd), ad.Tensor(m))), psd),
-        ("matrix_inverse_psd", lambda: ad.tensor_sum(ad.matrix_inverse_psd(psd)), psd),
-        ("logdet_psd", lambda: ad.logdet_psd(psd), psd),
-        ("l2_norm_rows", lambda: ad.tensor_sum(ad.mul(ad.l2_norm_rows(a), s)), a),
-        ("clip", lambda: ad.tensor_sum(ad.clip(pos, 0.6, 1.8)), pos),
-    ]
+            ad.gaussian_log_densities(ad.Tensor(np.zeros((1, 2))), ad.Tensor(np.zeros((2, 2))), covs)
 
 
 @pytest.mark.parametrize("trial", range(10))
 def test_every_op_gradient_vs_finite_differences(trial):
+    """Runs verify's one list of gradient cases at fresh random inputs."""
     rng = np.random.default_rng(100 + trial)
-    for name, f, wrt in _gradcheck_cases(rng):
+    for name, f, wrt, tol in verify.gradient_cases(rng):
         err = ad.gradient_check(f, wrt)
-        assert err < REL_TOL, f"{name}: max rel grad error {err:.3e}"
+        assert err <= tol, f"{name}: max rel grad error {err:.3e}"

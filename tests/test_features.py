@@ -61,6 +61,15 @@ class TestDecodeWav:
         with pytest.raises(FormatError):
             ft.decode_wav(p)
 
+    @pytest.mark.parametrize("cut", [1000, 1001])
+    def test_data_cut_short_rejected(self, tmp_path, cut):
+        # An even cut ends on a sample boundary, an odd one inside a sample.
+        p = tmp_path / "cut.wav"
+        write_wav_bytes(p, struct.pack("<16000h", *([16384] * 16000)))
+        p.write_bytes(p.read_bytes()[:-cut])
+        with pytest.raises(FormatError):
+            ft.decode_wav(p)
+
     def test_non_16bit_rejected(self, tmp_path):
         p = tmp_path / "8bit.wav"
         write_wav_bytes(p, b"\x00\x01\x02\x03", bits=8)

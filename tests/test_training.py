@@ -173,6 +173,12 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             tr.fit(TINY_CONFIG, TINY_ARCH, data)
 
+    def test_rejects_fewer_patches_than_batch(self, tmp_path):
+        metrics = tmp_path / "metrics.csv"
+        with pytest.raises(InvalidInputError):
+            tr.fit(tr.TrainConfig(batch_size=64), TINY_ARCH, tiny_data(n=10), metrics_path=metrics)
+        assert not metrics.exists()
+
     def test_rejects_mismatched_arch(self):
         with pytest.raises(InvalidConfigError):
             tr.fit(TINY_CONFIG, nets.ArchConfig(input_dim=100), tiny_data())
