@@ -1,9 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Define-by-run: each operation records its parent tensors and a closure
-that maps the output gradient onto parent-gradient contributions.
-``backward`` walks the recorded graph exactly once in reverse
-topological order and accumulates into ``Tensor.grad``.
+that maps the output cotangent onto its parents' cotangents.
+
+Gradients are asked for, not stored: ``backward(loss, wrt)`` returns
+d loss / d t for each tensor t in ``wrt``, as fresh arrays, and leaves
+no state on any tensor.  One pass sorts the graph below the loss with
+every input before its consumers and marks a node as needed when it is
+in ``wrt`` or has a needed parent.  Only needed nodes receive
+cotangents, so a part of the graph that does not depend on ``wrt`` (the
+real-patch discriminator branch during the generator step, say) costs
+no gradient work, and a parameter left out of ``wrt`` gets none either.
 
 Shape discipline is strict: binary elementwise ops require equal shapes,
 the only implicit broadcast is scalar-with-tensor.  Everything else is a
@@ -28,24 +35,22 @@ _node_ids = itertools.count()
 class Tensor:
     """A dense float64 array plus its position in the current graph.
 
-    ``grad`` is populated on leaves by backward() and accumulates across
-    repeated backward calls until ``zero_grad`` resets it.  ``_cot`` is
-    the per-pass cotangent buffer; it never outlives one backward call.
+    ``_needed`` and ``_cot`` (the cotangent buffer) are set and cleared
+    within one ``backward`` call.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents", "_backward_fn", "_op", "_cot")
+    __slots__ = ("data", "node_id", "_parents", "_backward_fn", "_op", "_needed", "_cot")
 
-    def __init__(self, data, requires_grad: bool = False, *, _parents=(), _backward=None, _op="leaf"):
+    def __init__(self, data, *, _parents=(), _backward=None, _op="leaf"):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite values produced by '{_op}'")
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self.node_id = next(_node_ids)
         self._parents = _parents
         self._backward_fn = _backward
         self._op = _op
+        self._needed = False
         self._cot: np.ndarray | None = None
 
     @property
@@ -60,15 +65,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """Same values, no graph history, no gradient requirement."""
-        return Tensor(self.data, requires_grad=False)
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
 
     def _accum_cot(self, g: np.ndarray) -> None:
         if self._cot is None:
@@ -114,26 +110,25 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def zero_grad(tensors: Sequence[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
+def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
+    """d loss / d t for each tensor t in ``wrt``; zeros for a t the
+    scalar loss does not reach.
 
-
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor reachable from a scalar loss.
-
-    Visits each node exactly once in reverse topological order; repeated
-    calls without zero_grad accumulate.
+    Visits each node below the loss once, in reverse topological order.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+    wanted = {t.node_id for t in wrt}
 
+    # Post-order puts every parent before its consumers, so a node's
+    # mark is computed from parent marks already set in this pass.
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
+            node._needed = node.node_id in wanted or any(p._needed for p in node._parents)
             order.append(node)
             continue
         if node.node_id in seen:
@@ -141,21 +136,24 @@ def backward(loss: Tensor) -> None:
         seen.add(node.node_id)
         stack.append((node, True))
         for p in node._parents:
-            if p.node_id not in seen and p.requires_grad:
+            if p.node_id not in seen:
                 stack.append((p, False))
 
-    loss._accum_cot(np.ones_like(loss.data))
+    grads: dict[int, np.ndarray] = {}
+    if loss._needed:
+        loss._accum_cot(np.ones_like(loss.data))
+    # Every consumer of a node comes before it here and has read its mark
+    # already, so the mark is cleared when the node is reached.
     for node in reversed(order):
-        g = node._cot
-        node._cot = None
+        g, node._cot = node._cot, None
+        node._needed = False
         if g is None:
             continue
-        if node._backward_fn is None:
-            # Leaf: transfer this pass's cotangent into the persistent grad.
-            if node.requires_grad:
-                node.accumulate_grad(g)
-        else:
+        if node.node_id in wanted:
+            grads[node.node_id] = g
+        if node._backward_fn is not None:
             node._backward_fn(g)
+    return [grads[t.node_id] if t.node_id in grads else np.zeros_like(t.data) for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +182,9 @@ def _binary(a, b, fwd, da, db, name: str) -> Tensor:
         out = Tensor(fwd(a.data, b.data), _parents=(a, b), _op=name)
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
+        if a._needed:
             a._accum_cot(_reduce_to(da(g, a.data, b.data), a.shape))
-        if b.requires_grad:
+        if b._needed:
             b._accum_cot(_reduce_to(db(g, a.data, b.data), b.shape))
 
     out._backward_fn = bwd
@@ -221,7 +219,7 @@ def _unary(a: Tensor, fwd, dfn, name: str) -> Tensor:
     y = out.data    # not ``out``: a closure holding its own node makes the graph a cycle
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
+        if a._needed:
             a._accum_cot(dfn(g, a.data, y))
 
     out._backward_fn = bwd
@@ -291,7 +289,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape), _parents=(a,), _op="reshape")
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
+        if a._needed:
             a._accum_cot(g.reshape(a.shape))
 
     out._backward_fn = bwd
@@ -311,9 +309,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, _parents=(a, b), _op="matmul")
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
+        if a._needed:
             a._accum_cot(g @ b.data.T)
-        if b.requires_grad:
+        if b._needed:
             b._accum_cot(a.data.T @ g)
 
     out._backward_fn = bwd
@@ -324,7 +322,7 @@ def tensor_sum(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), _parents=(a,), _op="sum")
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
+        if a._needed:
             a._accum_cot(np.broadcast_to(g, a.shape).copy())
 
     out._backward_fn = bwd
@@ -336,7 +334,7 @@ def mean(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean(), _parents=(a,), _op="mean")
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
+        if a._needed:
             a._accum_cot(np.broadcast_to(g / n, a.shape).copy())
 
     out._backward_fn = bwd
@@ -349,7 +347,7 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
     out = Tensor(a.data.sum(axis=axis), _parents=(a,), _op="sum_axis")
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
+        if a._needed:
             a._accum_cot(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
 
     out._backward_fn = bwd
@@ -363,9 +361,9 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     out = Tensor(x.data + v.data[None, :], _parents=(x, v), _op="add_rowvec")
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
+        if x._needed:
             x._accum_cot(g)
-        if v.requires_grad:
+        if v._needed:
             v._accum_cot(g.sum(axis=0))
 
     out._backward_fn = bwd
@@ -381,7 +379,7 @@ def diag_part(a: Tensor) -> Tensor:
     out = Tensor(a.data[..., idx, idx], _parents=(a,), _op="diag_part")
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
+        if a._needed:
             full = np.zeros_like(a.data)
             full[..., idx, idx] = g
             a._accum_cot(full)
@@ -427,17 +425,17 @@ def mixture_moments(z: Tensor, gamma: Tensor, eps: float, degenerate_mass: float
     covs = Tensor(cov_values, _parents=(z, gamma), _op="mixture_covariances")
 
     def means_bwd(g: np.ndarray) -> None:
-        if z.requires_grad:
+        if z._needed:
             z._accum_cot(w @ g + g[dead].sum(axis=0) / n)
-        if gamma.requires_grad:
+        if gamma._needed:
             gamma._accum_cot(np.einsum("kid,kd->ik", centered, g) * inv_mass)
 
     def covs_bwd(g: np.ndarray) -> None:
         g_sym = (g + g.transpose(0, 2, 1)) / 2.0
         projected = centered @ g_sym                          # [K x n x d]
-        if z.requires_grad:
+        if z._needed:
             z._accum_cot(2.0 * (w.T[:, :, None] * projected).sum(axis=0))
-        if gamma.requires_grad:
+        if gamma._needed:
             quad = (projected * centered).sum(axis=2)         # [K x n]
             inner = (g_sym * scatter).sum(axis=(1, 2))
             gamma._accum_cot(((quad - inner[:, None]) * inv_mass[:, None]).T)
@@ -476,11 +474,11 @@ def gaussian_log_densities(z: Tensor, means: Tensor, covs: Tensor) -> Tensor:
         chol_t = chol.transpose(0, 2, 1)
         r = np.linalg.solve(chol_t, solved).transpose(0, 2, 1)  # [K x n x d]
         gr = g.T[:, :, None] * r
-        if z.requires_grad:
+        if z._needed:
             z._accum_cot(-gr.sum(axis=0))
-        if means.requires_grad:
+        if means._needed:
             means._accum_cot(gr.sum(axis=1))
-        if covs.requires_grad:
+        if covs._needed:
             eye = np.broadcast_to(np.eye(d), chol.shape)
             inv = np.linalg.solve(chol_t, np.linalg.solve(chol, eye))
             covs._accum_cot(0.5 * (gr.transpose(0, 2, 1) @ r - g.sum(axis=0)[:, None, None] * inv))
@@ -503,7 +501,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     out = Tensor(y, _parents=(x,), _op="softmax_rows")
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
+        if x._needed:
             dot = (g * y).sum(axis=1, keepdims=True)
             x._accum_cot(y * (g - dot))
 
@@ -521,7 +519,7 @@ def logsumexp_rows(x: Tensor) -> Tensor:
     out = Tensor((m + np.log(s)).reshape(-1), _parents=(x,), _op="logsumexp_rows")
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
+        if x._needed:
             x._accum_cot(g[:, None] * (e / s))
 
     out._backward_fn = bwd
@@ -536,7 +534,7 @@ def l2_norm_rows(x: Tensor) -> Tensor:
     out = Tensor(r, _parents=(x,), _op="l2_norm_rows")
 
     def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
+        if x._needed:
             safe = np.where(r > 0.0, r, 1.0)
             x._accum_cot(np.where(r[:, None] > 0.0, g[:, None] * x.data / safe[:, None], 0.0))
 
@@ -592,10 +590,7 @@ def numeric_gradient(f: Callable[[], Tensor], wrt: Tensor, h: float = 1e-5) -> n
 
 def gradient_check(f: Callable[[], Tensor], wrt: Tensor, h: float = 1e-5) -> float:
     """Max relative error |analytic - numeric| / max(1, |analytic|)."""
-    zero_grad([wrt])
-    loss = f()
-    backward(loss)
-    analytic = wrt.grad if wrt.grad is not None else np.zeros_like(wrt.data)
+    analytic = backward(f(), [wrt])[0]
     numeric = numeric_gradient(f, wrt, h=h)
     denom = np.maximum(1.0, np.abs(analytic))
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -27,7 +27,6 @@ from .errors import InvalidInputError, VerificationError
 from .features import LABEL_ANOMALOUS, LABEL_NORMAL, LABEL_NAMES, PatchSet
 
 SCORE_MODES = ("latent", "energy")
-AGGREGATORS = ("max", "mean")
 
 SCORES_HEADER = ["source_id", "score", "label"]
 
@@ -49,8 +48,7 @@ def _design(model: nets.Model, patchset: PatchSet, norm_stats) -> np.ndarray:
     stats = norm_stats or patchset.norm_stats
     if stats is None:
         raise InvalidInputError("no normalization statistics available for scoring")
-    n = len(patchset)
-    flat = np.stack([stats.apply(p) for p in patchset.patches]).reshape(n, -1)
+    flat = stats.apply(patchset.patches).reshape(len(patchset), -1)
     if flat.shape[1] != model.arch.input_dim:
         raise InvalidInputError(
             f"model expects {model.arch.input_dim} features per patch, got {flat.shape[1]}"
@@ -71,13 +69,6 @@ def score_design(model: nets.Model, design: np.ndarray, mode: str = "latent",
         return mx.energy_batch(z, gmm).data.copy()
     z_rec = nets.encode_aux(model, nets.decode(model, z))
     return ad.l2_norm_rows(ad.sub(z, z_rec)).data.copy()
-
-
-def anomaly_score(model: nets.Model, patch: np.ndarray, norm_stats,
-                  mode: str = "latent", gmm: mx.GmmParams | None = None) -> float:
-    """Score of a single [bands x frames] patch (normalized internally)."""
-    design = norm_stats.apply(patch).reshape(1, -1)
-    return float(score_design(model, design, mode=mode, gmm=gmm)[0])
 
 
 def clip_score(patch_scores, aggregator: str = "max") -> float:

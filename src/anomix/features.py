@@ -106,10 +106,6 @@ class PatchSet:
     def shape(self) -> tuple[int, int]:
         return self.patches.shape[1], self.patches.shape[2]
 
-    def flat(self) -> np.ndarray:
-        """Patches as a [n, bands*frames] design matrix."""
-        return self.patches.reshape(len(self), -1)
-
     def subset(self, idx) -> "PatchSet":
         return PatchSet(
             patches=self.patches[idx],

@@ -129,8 +129,8 @@ def _xavier_mlp(rng, dims, hidden, output, leaky_slope) -> Mlp:
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True))
-        biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+        weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
+        biases.append(Tensor(np.zeros(fan_out)))
     return Mlp(weights, biases, hidden, output, leaky_slope)
 
 

@@ -1,11 +1,13 @@
 """Alternating adversarial training of all five networks on normal data.
 
-Each batch runs one discriminator update (on real patches vs detached
+Each batch runs one discriminator update (real patches vs
 reconstructions) followed by one generator-side update of the encoder,
-decoder, auxiliary encoder and membership estimator jointly.  The
-membership gradient reaches the encoder through the latent batch, which
-is the point of training the density estimator jointly instead of
-fitting a mixture afterwards.
+decoder, auxiliary encoder and membership estimator jointly.  Each
+update asks ``autodiff.backward`` for the gradients of its own
+parameters only, so the other side's networks act as fixed functions
+and get no gradient work.  The membership gradient reaches the encoder
+through the latent batch, which is the point of training the density
+estimator jointly instead of fitting a mixture afterwards.
 
 Everything is deterministic in (seed, config, data): initialization,
 shuffling, and updates derive from one seeded generator, so two runs
@@ -127,10 +129,6 @@ def make_train_state(arch: nets.ArchConfig, config: TrainConfig) -> TrainState:
     )
 
 
-def _grads_of(params):
-    return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-
-
 def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.LossBreakdown:
     """One discriminator update then one generator update on a batch.
 
@@ -147,16 +145,14 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     z = nets.encode(model, x)
     x_rec = nets.decode(model, z)
 
-    # Discriminator sees the reconstruction as a fixed input.
+    # Differentiated with respect to the discriminator only, so the
+    # reconstruction is a fixed input here.
     d_real = nets.discriminate(model, x)
-    d_fake_frozen = nets.discriminate(model, x_rec.detach())
-    disc_loss, _ = ls.adversarial_losses(d_real, d_fake_frozen)
+    disc_loss, _ = ls.adversarial_losses(d_real, nets.discriminate(model, x_rec))
     disc_loss_value = disc_loss.item()
     if w.w_adversarial > 0.0:
         d_params = model.discriminator_parameters()
-        ad.zero_grad(d_params)
-        ad.backward(disc_loss)
-        grads = _grads_of(d_params)
+        grads = ad.backward(disc_loss, d_params)
         clip_global_norm(grads, config.grad_clip)
         adam_update(d_params, grads, state.adam_discriminator)
 
@@ -169,19 +165,14 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     image_loss = ls.image_reconstruction_loss(x, x_rec)
     latent_loss = ls.latent_representation_loss(z, z_rec)
     d_fake = nets.discriminate(model, x_rec)
-    _, gen_adv_loss = ls.adversarial_losses(d_real.detach(), d_fake)
+    _, gen_adv_loss = ls.adversarial_losses(d_real, d_fake)
     est_loss = mx.estimation_loss(z, gamma, gmm, config.lambda1, config.lambda2)
     total = ls.total_generator_loss(image_loss, gen_adv_loss, latent_loss, est_loss, w)
 
     g_params = model.generator_parameters()
-    d_params = model.discriminator_parameters()
-    ad.zero_grad(g_params)
-    ad.zero_grad(d_params)  # receives adversarial gradients but is frozen here
-    ad.backward(total)
-    grads = _grads_of(g_params)
+    grads = ad.backward(total, g_params)
     clip_global_norm(grads, config.grad_clip)
     adam_update(g_params, grads, state.adam_generator)
-    ad.zero_grad(d_params)
 
     state.step += 1
     return ls.LossBreakdown(
@@ -238,7 +229,7 @@ def fit(
         )
 
     stats = patches.norm_stats or compute_norm_stats(patches.patches)
-    design = np.stack([stats.apply(p) for p in patches.patches]).reshape(len(patches), -1)
+    design = stats.apply(patches.patches).reshape(len(patches), -1)
 
     state = make_train_state(arch, config)
     rng = np.random.default_rng(config.seed)

@@ -67,15 +67,15 @@ class VerifyReport:
 
 
 def _op_gradient_cases(rng):
-    a = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    c = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-    v = Tensor(rng.standard_normal(3), requires_grad=True)
-    s = Tensor(rng.standard_normal(4), requires_grad=True)
+    a = Tensor(rng.standard_normal((4, 3)))
+    b = Tensor(rng.standard_normal((4, 3)))
+    c = Tensor(rng.standard_normal((3, 2)))
+    v = Tensor(rng.standard_normal(3))
+    s = Tensor(rng.standard_normal(4))
     w = Tensor(rng.standard_normal((4, 3)))
     w2 = Tensor(rng.standard_normal((4, 2)))
-    pos = Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)
-    stack = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
+    pos = Tensor(rng.uniform(0.5, 2.0, size=(4, 3)))
+    stack = Tensor(rng.standard_normal((2, 3, 3)))
     return [
         ("op add", lambda: ad.tensor_sum(ad.mul(ad.add(a, b), w)), a),
         ("op sub", lambda: ad.tensor_sum(ad.mul(ad.sub(a, b), w)), b),
@@ -107,9 +107,9 @@ def _op_gradient_cases(rng):
 
 def _mixture_op_gradient_cases(rng):
     n, d, k = 6, 2, 3
-    z = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    z = Tensor(rng.standard_normal((n, d)))
     g = rng.uniform(0.05, 1.0, size=(n, k))
-    gamma = Tensor(g / g.sum(axis=1, keepdims=True), requires_grad=True)
+    gamma = Tensor(g / g.sum(axis=1, keepdims=True))
     # Component 2 holds no mass, so mixture_moments resets it to the batch mean.
     g[:, 2] = 0.0
     gamma_dead = Tensor(g / g.sum(axis=1, keepdims=True))
@@ -120,13 +120,12 @@ def _mixture_op_gradient_cases(rng):
         means, covs = ad.mixture_moments(z, memberships, 1e-3, mx.DEGENERATE_MASS)
         return ad.add(ad.tensor_sum(ad.mul(means, w_means)), ad.tensor_sum(ad.mul(covs, w_covs)))
 
-    means = Tensor(rng.standard_normal((k, d)), requires_grad=True)
+    means = Tensor(rng.standard_normal((k, d)))
     # A raw covariance leaf: positive-definite symmetric part plus an
     # antisymmetric part that the op must ignore.
     m = rng.standard_normal((k, d, d))
     skew = rng.standard_normal((k, d, d))
-    covs = Tensor(m @ m.transpose(0, 2, 1) + np.eye(d) + skew - skew.transpose(0, 2, 1),
-                  requires_grad=True)
+    covs = Tensor(m @ m.transpose(0, 2, 1) + np.eye(d) + skew - skew.transpose(0, 2, 1))
     w_log = Tensor(rng.standard_normal((n, k)))
 
     def log_densities():
@@ -143,12 +142,12 @@ def _mixture_op_gradient_cases(rng):
 
 
 def _loss_gradient_cases(rng):
-    x = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
-    x_rec = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
-    z = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    z_rec = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    d_real = Tensor(rng.uniform(0.2, 0.8, (5, 1)), requires_grad=True)
-    d_fake = Tensor(rng.uniform(0.2, 0.8, (5, 1)), requires_grad=True)
+    x = Tensor(rng.standard_normal((5, 6)))
+    x_rec = Tensor(rng.standard_normal((5, 6)))
+    z = Tensor(rng.standard_normal((5, 3)))
+    z_rec = Tensor(rng.standard_normal((5, 3)))
+    d_real = Tensor(rng.uniform(0.2, 0.8, (5, 1)))
+    d_fake = Tensor(rng.uniform(0.2, 0.8, (5, 1)))
     weights = ls.LossWeights()
 
     def composed():
@@ -163,16 +162,17 @@ def _loss_gradient_cases(rng):
     return [
         ("loss image reconstruction", lambda: ls.image_reconstruction_loss(x, x_rec), x_rec),
         ("loss latent distance", lambda: ls.latent_representation_loss(z, z_rec), z_rec),
-        ("loss adversarial (disc)", lambda: ls.adversarial_losses(d_real, d_fake)[0], d_real),
+        ("loss adversarial (disc) d/dreal", lambda: ls.adversarial_losses(d_real, d_fake)[0], d_real),
+        ("loss adversarial (disc) d/dfake", lambda: ls.adversarial_losses(d_real, d_fake)[0], d_fake),
         ("loss adversarial (gen)", lambda: ls.adversarial_losses(d_real, d_fake)[1], d_fake),
         ("loss weighted composition", composed, x),
     ]
 
 
 def _mixture_loss_gradient_cases(rng):
-    z = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+    z = Tensor(rng.standard_normal((5, 2)))
     g = rng.uniform(0.05, 1.0, size=(5, 2))
-    gamma = Tensor(g / g.sum(axis=1, keepdims=True), requires_grad=True)
+    gamma = Tensor(g / g.sum(axis=1, keepdims=True))
     # Three components, the last with mass below the degenerate threshold.
     dead = np.concatenate([g, np.full((5, 1), 1e-14)], axis=1)
     gamma_dead = Tensor(dead / dead.sum(axis=1, keepdims=True))

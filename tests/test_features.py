@@ -213,6 +213,13 @@ class TestNormalization:
         np.testing.assert_allclose(flat.mean(axis=1), 0.0, atol=1e-6)
         np.testing.assert_allclose(flat.std(axis=1), 1.0, atol=1e-6)
 
+    def test_stacked_apply_equals_per_patch_apply_bitwise(self):
+        rng = np.random.default_rng(10)
+        patches = rng.uniform(-3, 5, size=(7, 6, 8))
+        stats = ft.compute_norm_stats(patches)
+        per_patch = np.stack([stats.apply(p) for p in patches])
+        assert stats.apply(patches).tobytes() == per_patch.tobytes()
+
 
 class TestSyntheticDataset:
     def test_same_seed_bit_identical(self):

@@ -78,7 +78,7 @@ class TestDiscriminator:
 
     def test_gradient_wrt_input(self):
         model = small_model(6)
-        x = Tensor(np.random.default_rng(2).standard_normal((3, 36)), requires_grad=True)
+        x = Tensor(np.random.default_rng(2).standard_normal((3, 36)))
         err = ad.gradient_check(lambda: ad.tensor_sum(nets.discriminate(model, x)), x)
         assert err < 1e-5
 

@@ -33,7 +33,7 @@ def param_digest(params):
 
 class TestAdam:
     def test_zero_gradient_zero_update(self):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        p = Tensor(np.array([1.0, -2.0]))
         state = tr.AdamState([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
         tr.adam_update([p], [np.zeros(2)], state)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
@@ -42,13 +42,13 @@ class TestAdam:
     def test_first_step_hand_computed(self):
         # g=1, lr=1e-3, betas=(0.9, 0.999): bias correction gives
         # m_hat = 1, v_hat = 1, so the step is -lr/(1 + eps).
-        p = Tensor(np.array([0.0]), requires_grad=True)
+        p = Tensor(np.array([0.0]))
         state = tr.AdamState([p], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
         tr.adam_update([p], [np.ones(1)], state)
         assert p.data[0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-12)
 
     def test_constant_gradient_update_approaches_lr(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
+        p = Tensor(np.array([0.0]))
         state = tr.AdamState([p], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
         prev = p.data[0]
         for _ in range(2000):
