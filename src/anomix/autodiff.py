@@ -12,6 +12,14 @@ cotangents, so a part of the graph that does not depend on ``wrt`` (the
 real-patch discriminator branch during the generator step, say) costs
 no gradient work, and a parameter left out of ``wrt`` gets none either.
 
+Cotangents are owned on first write: a node keeps the first cotangent
+it receives as given, with no copy, and adds each later one out of
+place.  A closure may therefore pass on the array it received (``add``
+gives the same one to both operands, ``reshape`` a view of it), and no
+backward closure may write into the cotangent it receives.
+``backward`` copies a wanted gradient only when it is a view or already
+handed out, so the arrays it returns never alias each other.
+
 Shape discipline is strict: binary elementwise ops require equal shapes,
 the only implicit broadcast is scalar-with-tensor.  Everything else is a
 named structured op (``add_rowvec``, ``diag_part``, ...) whose shape
@@ -35,7 +43,7 @@ _node_ids = itertools.count()
 class Tensor:
     """A dense float64 array plus its position in the current graph.
 
-    ``_needed`` and ``_cot`` (the cotangent buffer) are set and cleared
+    ``_needed`` and ``_cot`` (the cotangent so far) are set and cleared
     within one ``backward`` call.
     """
 
@@ -67,9 +75,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def _accum_cot(self, g: np.ndarray) -> None:
-        if self._cot is None:
-            self._cot = np.zeros_like(self.data)
-        self._cot += g
+        # Owned on first write (see the module docstring): the first
+        # cotangent is kept as given, and may be shared with another node
+        # or be a view, so later ones are added out of place.
+        if g.shape != self.data.shape:
+            raise ShapeError(f"cotangent of shape {g.shape} for '{self._op}' of shape {self.shape}")
+        self._cot = g if self._cot is None else self._cot + g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r}, id={self.node_id})"
@@ -153,7 +164,20 @@ def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
             grads[node.node_id] = g
         if node._backward_fn is not None:
             node._backward_fn(g)
-    return [grads[t.node_id] if t.node_id in grads else np.zeros_like(t.data) for t in wrt]
+    # Cotangents are shared and viewed freely during the pass; what is
+    # handed out is fresh and pairwise non-aliasing, because a caller
+    # (the optimizer) writes into it.
+    out: list[np.ndarray] = []
+    handed_out: set[int] = set()
+    for t in wrt:
+        g = grads.get(t.node_id)
+        if g is None:
+            g = np.zeros_like(t.data)
+        elif not isinstance(g, np.ndarray) or g.base is not None or id(g) in handed_out:
+            g = np.array(g)     # also turns a 0-d cotangent (a numpy scalar) into an array
+        handed_out.add(id(g))
+        out.append(g)
+    return out
 
 
 # ---------------------------------------------------------------------------

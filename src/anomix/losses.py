@@ -5,12 +5,13 @@ The generator side minimizes
     w_image * image_loss + w_adversarial * adversarial_generator_loss
     + w_latent * latent_loss + w_estimation * estimation_loss
 
-while the discriminator minimizes its own binary cross-entropy in a
-separate step: a single minimax expression cannot be minimized by one
-party, so the two sides train on their own objectives.  The generator
-term is the non-saturating form -mean(log D(reconstruction)); the
-literal "minimize log(1 - D(...))" variant has vanishing gradients
-exactly when the generator is worst.
+while the discriminator minimizes its own binary cross-entropy
+(``discriminator_loss``) in a separate step: a single minimax expression
+cannot be minimized by one party, so the two sides train on their own
+objectives.  The generator term (``generator_adversarial_loss``) is the
+non-saturating form -mean(log D(reconstruction)); the literal "minimize
+log(1 - D(...))" variant has vanishing gradients exactly when the
+generator is worst.
 """
 
 from __future__ import annotations
@@ -64,17 +65,31 @@ def latent_representation_loss(z: Tensor, z_rec: Tensor) -> Tensor:
     return ad.l2_distance(z, z_rec)
 
 
+def _clamped(d: Tensor) -> Tensor:
+    # Probabilities are clamped to [1e-7, 1 - 1e-7] so the losses stay
+    # finite for saturated discriminator outputs.
+    return ad.clip(d, PROB_CLAMP, 1.0 - PROB_CLAMP)
+
+
+def discriminator_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
+    """Binary cross-entropy of D's probabilities, real patches labelled
+    1 and reconstructions 0: -mean(log D(x)) - mean(log(1 - D(x_rec)))."""
+    return ad.neg(ad.add(ad.mean(ad.log(_clamped(d_real))),
+                         ad.mean(ad.log(ad.sub(1.0, _clamped(d_fake))))))
+
+
+def generator_adversarial_loss(d_fake: Tensor) -> Tensor:
+    """Non-saturating generator loss -mean(log D(x_rec))."""
+    return ad.neg(ad.mean(ad.log(_clamped(d_fake))))
+
+
 def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:
     """(discriminator loss, generator loss) from D's probabilities.
 
-    Probabilities are clamped to [1e-7, 1 - 1e-7] so both losses stay
-    finite for saturated discriminator outputs.
+    Training builds each half on its own; this pair stays for callers
+    that want both, such as the span list in ``benchmark/spans.py``.
     """
-    real = ad.clip(d_real, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    fake = ad.clip(d_fake, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    disc = ad.neg(ad.add(ad.mean(ad.log(real)), ad.mean(ad.log(ad.sub(1.0, fake)))))
-    gen = ad.neg(ad.mean(ad.log(fake)))
-    return disc, gen
+    return discriminator_loss(d_real, d_fake), generator_adversarial_loss(d_fake)
 
 
 def total_generator_loss(

@@ -77,7 +77,12 @@ class AdamState:
 
 
 def clip_global_norm(grads, max_norm: float) -> None:
-    """Scale the whole gradient group so its joint norm is <= max_norm."""
+    """Scale the whole gradient group so its joint norm is <= max_norm.
+
+    The norm is a per-array pairwise ``(g * g).sum()``: clipping fires on
+    most steps, so another summation order would change the scale's
+    last bits and with them every checkpoint.
+    """
     if max_norm <= 0:
         return
     total = np.sqrt(sum(float((g * g).sum()) for g in grads))
@@ -87,23 +92,54 @@ def clip_global_norm(grads, max_norm: float) -> None:
             g *= scale
 
 
+# Elements per block of the Adam update: the block of each of the five
+# arrays it touches (parameter, gradient, two moments, scratch) stays in
+# L2 cache between its dozen elementwise passes.
+ADAM_BLOCK = 32768
+
+
 def adam_update(params, grads, state: AdamState) -> None:
-    """Standard bias-corrected Adam step, in place."""
+    """Standard bias-corrected Adam step, in place; overwrites ``grads``.
+
+    Each parameter is walked in blocks of ``ADAM_BLOCK`` elements, and
+    every block runs the textbook formula's elementwise operations in
+    the textbook order, so the result is bitwise that of whole-array
+    updates.  The consumed gradient block is reused as a buffer, so the
+    gradient arrays hold scratch values afterwards.
+    """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
+    scratch = np.empty(min(ADAM_BLOCK, max((p.data.size for p in params), default=0)))
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        if not np.all(np.isfinite(p.data)):
-            raise NumericError("non-finite parameter after optimizer step")
+        p_flat = p.data.reshape(-1, copy=False)
+        g_flat = g.reshape(-1)
+        m_flat, v_flat = m.reshape(-1, copy=False), v.reshape(-1, copy=False)
+        for start in range(0, p_flat.size, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            pb, gb, mb, vb = p_flat[block], g_flat[block], m_flat[block], v_flat[block]
+            tmp = scratch[:pb.size]
+            # m = b1 m + (1 - b1) g
+            np.multiply(gb, 1.0 - b1, out=tmp)
+            mb *= b1
+            mb += tmp
+            # v = b2 v + (1 - b2) g g
+            np.multiply(gb, 1.0 - b2, out=tmp)
+            tmp *= gb
+            vb *= b2
+            vb += tmp
+            # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(vb, correction2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            np.divide(mb, correction1, out=gb)
+            gb *= lr
+            gb /= tmp
+            pb -= gb
+            if not np.all(np.isfinite(pb)):
+                raise NumericError("non-finite parameter after optimizer step")
 
 
 @dataclass
@@ -147,8 +183,7 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
 
     # Differentiated with respect to the discriminator only, so the
     # reconstruction is a fixed input here.
-    d_real = nets.discriminate(model, x)
-    disc_loss, _ = ls.adversarial_losses(d_real, nets.discriminate(model, x_rec))
+    disc_loss = ls.discriminator_loss(nets.discriminate(model, x), nets.discriminate(model, x_rec))
     disc_loss_value = disc_loss.item()
     if w.w_adversarial > 0.0:
         d_params = model.discriminator_parameters()
@@ -164,8 +199,7 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     gmm = mx.estimate_gmm(z, gamma, eps=config.cov_eps)
     image_loss = ls.image_reconstruction_loss(x, x_rec)
     latent_loss = ls.latent_representation_loss(z, z_rec)
-    d_fake = nets.discriminate(model, x_rec)
-    _, gen_adv_loss = ls.adversarial_losses(d_real, d_fake)
+    gen_adv_loss = ls.generator_adversarial_loss(nets.discriminate(model, x_rec))
     est_loss = mx.estimation_loss(z, gamma, gmm, config.lambda1, config.lambda2)
     total = ls.total_generator_loss(image_loss, gen_adv_loss, latent_loss, est_loss, w)
 

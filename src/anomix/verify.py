@@ -153,7 +153,7 @@ def _loss_gradient_cases(rng):
     def composed():
         return ls.total_generator_loss(
             ls.image_reconstruction_loss(x, x_rec),
-            ls.adversarial_losses(d_real, d_fake)[1],
+            ls.generator_adversarial_loss(d_fake),
             ls.latent_representation_loss(z, z_rec),
             ad.mean(z),  # cheap differentiable stand-in for the mixture term
             weights,
@@ -162,9 +162,9 @@ def _loss_gradient_cases(rng):
     return [
         ("loss image reconstruction", lambda: ls.image_reconstruction_loss(x, x_rec), x_rec),
         ("loss latent distance", lambda: ls.latent_representation_loss(z, z_rec), z_rec),
-        ("loss adversarial (disc) d/dreal", lambda: ls.adversarial_losses(d_real, d_fake)[0], d_real),
-        ("loss adversarial (disc) d/dfake", lambda: ls.adversarial_losses(d_real, d_fake)[0], d_fake),
-        ("loss adversarial (gen)", lambda: ls.adversarial_losses(d_real, d_fake)[1], d_fake),
+        ("loss adversarial (disc) d/dreal", lambda: ls.discriminator_loss(d_real, d_fake), d_real),
+        ("loss adversarial (disc) d/dfake", lambda: ls.discriminator_loss(d_real, d_fake), d_fake),
+        ("loss adversarial (gen)", lambda: ls.generator_adversarial_loss(d_fake), d_fake),
         ("loss weighted composition", composed, x),
     ]
 
@@ -230,11 +230,10 @@ def full_pipeline_gradient_check(seed: int = 0) -> CheckResult:
         z_rec = nets.encode_aux(model, x_rec)
         gamma = nets.membership(model, z)
         params = mx.estimate_gmm(z, gamma, eps=1e-3)
-        d_real = nets.discriminate(model, x)
         d_fake = nets.discriminate(model, x_rec)
         return ls.total_generator_loss(
             ls.image_reconstruction_loss(x, x_rec),
-            ls.adversarial_losses(d_real, d_fake)[1],
+            ls.generator_adversarial_loss(d_fake),
             ls.latent_representation_loss(z, z_rec),
             mx.estimation_loss(z, gamma, params, 0.1, 0.005),
             weights,

@@ -193,6 +193,55 @@ class TestBackwardContract:
         np.testing.assert_array_equal(grad_b, ad.backward(loss, [b])[0])
 
 
+def _assert_gradients_owned(loss, wrt):
+    """Writing into any returned gradient changes no other one and no
+    later ``backward`` result."""
+    grads = ad.backward(loss, wrt)
+    assert all(isinstance(g, np.ndarray) for g in grads)
+    expected = [g.copy() for g in grads]
+    for i, g in enumerate(grads):
+        g.fill(-7.5)
+        for other, want in zip(grads[i + 1:], expected[i + 1:]):
+            np.testing.assert_array_equal(other, want)
+    for again, want in zip(ad.backward(loss, wrt), expected):
+        np.testing.assert_array_equal(again, want)
+
+
+class TestGradientOwnership:
+    def test_add_with_both_operands_wanted(self):
+        rng = np.random.default_rng(40)
+        a, b, w = (ad.Tensor(rng.standard_normal((3, 4))) for _ in range(3))
+        _assert_gradients_owned(ad.tensor_sum(ad.mul(ad.add(a, b), w)), [a, b, w])
+
+    def test_shared_cotangent_not_written_by_a_later_one(self):
+        # add hands one array to both operands; a's second contribution
+        # must not land in b's cotangent.
+        rng = np.random.default_rng(43)
+        a, b, w, w2 = (ad.Tensor(rng.standard_normal((3, 4))) for _ in range(4))
+        loss = ad.add(ad.tensor_sum(ad.mul(ad.add(a, b), w)), ad.tensor_sum(ad.mul(a, w2)))
+        grad_a, grad_b = ad.backward(loss, [a, b])
+        np.testing.assert_array_equal(grad_a, w.data + w2.data)
+        np.testing.assert_array_equal(grad_b, w.data)
+
+    def test_add_of_a_tensor_to_itself(self):
+        a = ad.Tensor(np.random.default_rng(41).standard_normal((3, 4)))
+        loss = ad.tensor_sum(ad.mul(ad.add(a, a), a))
+        _assert_gradients_owned(loss, [a])
+        _assert_gradients_owned(loss, [a, a])
+
+    def test_leaf_reached_only_through_reshape(self):
+        rng = np.random.default_rng(42)
+        a = ad.Tensor(rng.standard_normal((3, 4)))
+        r = ad.reshape(a, (2, 6))
+        loss = ad.tensor_sum(ad.mul(r, ad.Tensor(rng.standard_normal((2, 6)))))
+        _assert_gradients_owned(loss, [a])
+        _assert_gradients_owned(loss, [r, a])
+
+    def test_scalar_leaf(self):
+        s = ad.Tensor(1.5)
+        _assert_gradients_owned(ad.neg(ad.add(s, s)), [s])
+
+
 class TestStructuredOps:
     def test_add_rowvec(self):
         x = ad.Tensor(np.zeros((2, 3)))

@@ -42,25 +42,32 @@ class TestLatentRepresentation:
 class TestAdversarial:
     def test_balanced_discriminator(self):
         half = Tensor(np.full((6, 1), 0.5))
-        disc, gen = ls.adversarial_losses(half, half)
-        assert disc.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
-        assert gen.item() == pytest.approx(math.log(2.0), abs=1e-12)
+        assert ls.discriminator_loss(half, half).item() == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+        assert ls.generator_adversarial_loss(half).item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_perfect_discriminator_loss_approaches_zero(self):
-        disc, _ = ls.adversarial_losses(Tensor([[1.0]]), Tensor([[0.0]]))
+        disc = ls.discriminator_loss(Tensor([[1.0]]), Tensor([[0.0]]))
         assert 0.0 <= disc.item() < 1e-6
 
     def test_losses_finite_for_saturated_outputs(self):
-        disc, gen = ls.adversarial_losses(Tensor([[0.0]]), Tensor([[1.0]]))
+        disc = ls.discriminator_loss(Tensor([[0.0]]), Tensor([[1.0]]))
+        gen = ls.generator_adversarial_loss(Tensor([[1.0]]))
         assert np.isfinite(disc.item()) and np.isfinite(gen.item())
 
     def test_discriminator_loss_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            disc, _ = ls.adversarial_losses(
+            disc = ls.discriminator_loss(
                 Tensor(rng.uniform(0, 1, (4, 1))), Tensor(rng.uniform(0, 1, (4, 1)))
             )
             assert disc.item() >= 0.0
+
+    def test_pair_is_both_halves(self):
+        rng = np.random.default_rng(8)
+        real, fake = Tensor(rng.uniform(0, 1, (4, 1))), Tensor(rng.uniform(0, 1, (4, 1)))
+        disc, gen = ls.adversarial_losses(real, fake)
+        assert disc.item() == ls.discriminator_loss(real, fake).item()
+        assert gen.item() == ls.generator_adversarial_loss(fake).item()
 
 
 class TestTotalComposition:

@@ -8,7 +8,7 @@ import pytest
 
 from anomix import networks as nets
 from anomix import training as tr
-from anomix.errors import DataError, InvalidConfigError, InvalidInputError
+from anomix.errors import DataError, InvalidConfigError, InvalidInputError, NumericError
 from anomix.features import LABEL_ANOMALOUS, gen_synthetic_dataset
 from anomix.losses import LossWeights
 from anomix.autodiff import Tensor
@@ -55,6 +55,39 @@ class TestAdam:
             prev = p.data[0]
             tr.adam_update([p], [np.full(1, 0.37)], state)
         assert abs(p.data[0] - prev) == pytest.approx(1e-3, rel=1e-3)
+
+    def test_blocked_update_is_bitwise_the_textbook_formula(self):
+        # One tensor over two full blocks and a ragged tail, one 1-element tensor.
+        rng = np.random.default_rng(11)
+        shapes = [(2 * tr.ADAM_BLOCK // 64 + 1, 64), (1,)]
+        params = [Tensor(rng.standard_normal(s)) for s in shapes]
+        lr, b1, b2, eps = 1e-3, 0.5, 0.999, 1e-8
+        state = tr.AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        for t in range(1, 6):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            for p, g, m, v in zip(ref_p, grads, ref_m, ref_v):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            tr.adam_update(params, [g.copy() for g in grads], state)
+            for got, want in zip(params, ref_p):
+                assert got.data.tobytes() == want.tobytes()
+            for got, want in zip(state.m + state.v, ref_m + ref_v):
+                assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_parameter_in_last_block_raises(self):
+        n = 2 * tr.ADAM_BLOCK + 5
+        p = Tensor(np.zeros(n))
+        state = tr.AdamState([p], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
+        g = np.ones(n)
+        g[-1] = np.inf      # m / sqrt(v) = inf / inf: only the last element turns NaN
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            tr.adam_update([p], [g], state)
 
     def test_global_norm_clipping(self):
         grads = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
