@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import replace_on_success
 from .errors import (
     FormatError,
     InsufficientAudioError,
@@ -174,11 +175,8 @@ def stft_magnitude(clip: AudioClip, window_len: int, hop: int) -> np.ndarray:
         raise InsufficientAudioError(
             f"clip has {len(samples)} samples, needs at least {window_len}"
         )
-    n_frames = (len(samples) - window_len) // hop + 1
-    window = _hann_periodic(window_len)
-    idx = np.arange(window_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = samples[idx] * window
-    return np.abs(np.fft.rfft(frames, axis=1)).T
+    frames = np.lib.stride_tricks.sliding_window_view(samples, window_len)[::hop]
+    return np.abs(np.fft.rfft(frames * _hann_periodic(window_len), axis=1)).T
 
 
 def hz_to_mel(f):
@@ -198,12 +196,11 @@ def mel_filterbank(sample_rate_hz: int, window_len: int, mel_bands: int) -> np.n
         raise InvalidConfigError(f"{mel_bands} mel bands exceed {bins} spectrum bins")
     edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate_hz / 2.0), mel_bands + 2))
     bin_freqs = np.arange(bins) * sample_rate_hz / window_len
-    bank = np.zeros((mel_bands, bins))
-    for b in range(mel_bands):
-        lo, mid, hi = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
-        rising = (bin_freqs - lo) / (mid - lo)
-        falling = (hi - bin_freqs) / (hi - mid)
-        bank[b] = np.maximum(0.0, np.minimum(rising, falling))
+    # Band b rises over [edges[b], edges[b+1]] and falls to edges[b+2].
+    lo, mid, hi = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
+    rising = (bin_freqs - lo) / (mid - lo)
+    falling = (hi - bin_freqs) / (hi - mid)
+    bank = np.maximum(0.0, np.minimum(rising, falling))
     row_sums = bank.sum(axis=1)
     if np.any(row_sums <= 0.0):
         raise InvalidConfigError(
@@ -335,19 +332,23 @@ def gen_synthetic_dataset(
 # ---------------------------------------------------------------------------
 
 def write_patchset(path, patchset: PatchSet) -> None:
-    """Serialize a patch set to the GMGP byte layout in the module docstring."""
+    """Serialize a patch set to the GMGP byte layout in the module docstring.
+
+    A file already at ``path`` is replaced only once the new one is
+    complete; if writing fails it is left as it was.
+    """
     n = len(patchset)
     bands, frames = patchset.shape
-    with open(path, "wb") as fh:
+    with replace_on_success(path) as fh:
         fh.write(PATCH_MAGIC)
         fh.write(struct.pack("<IIII", PATCH_VERSION, n, bands, frames))
-        fh.write(patchset.patches.astype("<f4").tobytes())
-        fh.write(patchset.labels.astype(np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(patchset.patches, dtype="<f4"))
+        fh.write(np.ascontiguousarray(patchset.labels, dtype=np.uint8))
         stats = patchset.norm_stats
         fh.write(struct.pack("<B", 1 if stats is not None else 0))
         if stats is not None:
-            fh.write(stats.mean.astype("<f8").tobytes())
-            fh.write(stats.std.astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(stats.mean, dtype="<f8"))
+            fh.write(np.ascontiguousarray(stats.std, dtype="<f8"))
         for sid in patchset.source_ids:
             blob = sid.encode("utf-8")
             if len(blob) > 0xFFFF:
@@ -357,7 +358,9 @@ def write_patchset(path, patchset: PatchSet) -> None:
 
 
 def read_patchset(path) -> PatchSet:
-    """Parse a GMGP file; raises FormatError on any structural problem."""
+    """Parse a GMGP file.  Raises FormatError on any structural problem,
+    a label outside LABEL_NAMES, or norm stats that are not finite or
+    whose std is not positive."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 20 or blob[:4] != PATCH_MAGIC:
@@ -388,8 +391,15 @@ def read_patchset(path) -> PatchSet:
             off += 2
             ids.append(blob[off:off + ln].decode("utf-8"))
             off += ln
-    except (struct.error, ValueError) as err:
+    except (struct.error, ValueError, OverflowError) as err:
         raise FormatError(f"{path}: truncated or corrupt GMGP container") from err
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes after GMGP payload")
+    if labels.size and labels.max() > LABEL_UNKNOWN:
+        raise FormatError(f"{path}: label {labels.max()} is not one of {sorted(LABEL_NAMES)}")
+    if stats is not None:
+        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()):
+            raise FormatError(f"{path}: non-finite norm stats")
+        if not (stats.std > 0.0).all():
+            raise FormatError(f"{path}: norm std has a value that is not positive")
     return PatchSet(patches=patches, source_ids=ids, labels=labels, norm_stats=stats)

@@ -29,12 +29,14 @@ Array names: "<network>.w<i>"/"<network>.b<i>" for the five networks,
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import replace_on_success
 from .autodiff import Tensor
 from .errors import FormatError, ShapeError
 from .features import NormStats
@@ -76,12 +78,15 @@ class ArchConfig:
             key, _, value = line.partition("=")
             if key not in kinds:
                 raise FormatError(f"unknown checkpoint config key {key!r}")
-            if kinds[key] == "tuple":
-                kwargs[key] = tuple(int(x) for x in value.split(",") if x)
-            elif kinds[key] == "float":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = int(value)
+            try:
+                if kinds[key] == "tuple":
+                    kwargs[key] = tuple(int(x) for x in value.split(",") if x)
+                elif kinds[key] == "float":
+                    kwargs[key] = float(value)
+                else:
+                    kwargs[key] = int(value)
+            except ValueError as err:
+                raise FormatError(f"checkpoint config {key}={value!r} is not a valid {kinds[key]}") from err
         return cls(**kwargs)
 
 
@@ -125,13 +130,17 @@ class Mlp:
         return out
 
 
-def _xavier_mlp(rng, dims, hidden, output, leaky_slope) -> Mlp:
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
-        biases.append(Tensor(np.zeros(fan_out)))
-    return Mlp(weights, biases, hidden, output, leaky_slope)
+def _network_layouts(arch: ArchConfig) -> dict:
+    """Per network, in NETWORK_NAMES order: layer widths, hidden and
+    output activation."""
+    enc_dims = (arch.input_dim, *arch.encoder_widths, arch.latent_dim)
+    return {
+        "encoder": (enc_dims, "leaky_relu", "linear"),
+        "decoder": (tuple(reversed(enc_dims)), "leaky_relu", "tanh"),
+        "aux_encoder": (enc_dims, "leaky_relu", "linear"),
+        "discriminator": ((arch.input_dim, *arch.discriminator_widths, 1), "leaky_relu", "sigmoid"),
+        "estimator": ((arch.latent_dim, *arch.estimator_widths, arch.n_components), "tanh", "linear"),
+    }
 
 
 @dataclass
@@ -166,18 +175,15 @@ class Model:
 def init_model(arch: ArchConfig, seed: int) -> Model:
     """Deterministic Xavier-uniform initialization, biases zero."""
     rng = np.random.default_rng(seed)
-    slope = arch.leaky_slope
-    enc_dims = (arch.input_dim, *arch.encoder_widths, arch.latent_dim)
-    dec_dims = tuple(reversed(enc_dims))
-    return Model(
-        arch=arch,
-        init_seed=seed,
-        encoder=_xavier_mlp(rng, enc_dims, "leaky_relu", "linear", slope),
-        decoder=_xavier_mlp(rng, dec_dims, "leaky_relu", "tanh", slope),
-        aux_encoder=_xavier_mlp(rng, enc_dims, "leaky_relu", "linear", slope),
-        discriminator=_xavier_mlp(rng, (arch.input_dim, *arch.discriminator_widths, 1), "leaky_relu", "sigmoid", slope),
-        estimator=_xavier_mlp(rng, (arch.latent_dim, *arch.estimator_widths, arch.n_components), "tanh", "linear", slope),
-    )
+    nets = {}
+    for name, (dims, hidden, output) in _network_layouts(arch).items():
+        weights, biases = [], []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
+            biases.append(Tensor(np.zeros(fan_out)))
+        nets[name] = Mlp(weights, biases, hidden, output, arch.leaky_slope)
+    return Model(arch=arch, init_seed=seed, **nets)
 
 
 def encode(model: Model, x: Tensor) -> Tensor:
@@ -234,25 +240,36 @@ def _named_arrays(model: Model, norm_stats: NormStats | None, gmm: GmmParams | N
 
 
 def save_checkpoint(path, model: Model, norm_stats: NormStats | None = None, gmm: GmmParams | None = None) -> None:
+    """Write a GMGC file.  A file already at ``path`` is replaced only
+    once the new one is complete; if writing fails it is left as it was."""
     arrays = list(_named_arrays(model, norm_stats, gmm))
     config = model.arch.to_text() + f"init_seed={model.init_seed}\n"
     blob = config.encode("utf-8")
-    with open(path, "wb") as fh:
+    with replace_on_success(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays:
             encoded = name.encode("utf-8")
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
+            arr = np.ascontiguousarray(arr, dtype="<f8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
+            fh.write(arr)
+
+
+def _array(path, arrays: dict, name: str) -> np.ndarray:
+    try:
+        return arrays[name]
+    except KeyError:
+        raise FormatError(f"{path}: checkpoint is missing array {name!r}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Parse a GMGC file.  Raises FormatError on any structural problem,
+    a non-finite array or a norm std that is not positive."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -276,39 +293,48 @@ def load_checkpoint(path) -> Checkpoint:
             off += 1
             dims = struct.unpack_from(f"<{ndim}I", blob, off)
             off += 4 * ndim
-            n = int(np.prod(dims)) if ndim else 1
+            n = math.prod(dims)
             arrays[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(dims).copy()
             off += 8 * n
-    except (struct.error, ValueError, UnicodeDecodeError) as err:
+    except (struct.error, ValueError, OverflowError) as err:
         raise FormatError(f"{path}: truncated or corrupt checkpoint") from err
     if off != len(blob):
         raise FormatError(f"{path}: trailing bytes after checkpoint payload")
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: array {name!r} has non-finite values")
 
     seed = 0
     config_lines = []
     for line in text.splitlines():
         if line.startswith("init_seed="):
-            seed = int(line.partition("=")[2])
+            value = line.partition("=")[2]
+            try:
+                seed = int(value)
+            except ValueError as err:
+                raise FormatError(f"{path}: checkpoint config init_seed={value!r} is not an int") from err
         elif line.strip():
             config_lines.append(line)
     arch = ArchConfig.from_text("\n".join(config_lines))
-    model = init_model(arch, seed)
-    for name in NETWORK_NAMES:
-        net = model.network(name)
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            try:
-                w_arr, b_arr = arrays[f"{name}.w{i}"], arrays[f"{name}.b{i}"]
-            except KeyError as err:
-                raise FormatError(f"{path}: checkpoint is missing array {err}") from err
-            if w_arr.shape != w.data.shape or b_arr.shape != b.data.shape:
+
+    nets = {}
+    for name, (dims, hidden, output) in _network_layouts(arch).items():
+        weights, biases = [], []
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            w, b = _array(path, arrays, f"{name}.w{i}"), _array(path, arrays, f"{name}.b{i}")
+            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
                 raise FormatError(f"{path}: array shape mismatch for {name} layer {i}")
-            w.data[...] = w_arr
-            b.data[...] = b_arr
+            weights.append(Tensor(w))
+            biases.append(Tensor(b))
+        nets[name] = Mlp(weights, biases, hidden, output, arch.leaky_slope)
+    model = Model(arch=arch, init_seed=seed, **nets)
 
     stats = None
     if "norm.mean" in arrays:
-        stats = NormStats(mean=arrays["norm.mean"], std=arrays["norm.std"])
+        stats = NormStats(mean=arrays["norm.mean"], std=_array(path, arrays, "norm.std"))
+        if not np.all(stats.std > 0.0):
+            raise FormatError(f"{path}: norm.std has a value that is not positive")
     gmm = None
     if "gmm.alpha" in arrays:
-        gmm = GmmParams.from_arrays(arrays["gmm.alpha"], arrays["gmm.mu"], arrays["gmm.sigma"])
+        gmm = GmmParams.from_arrays(arrays["gmm.alpha"], _array(path, arrays, "gmm.mu"), _array(path, arrays, "gmm.sigma"))
     return Checkpoint(model=model, norm_stats=stats, gmm=gmm)

@@ -10,6 +10,7 @@ from anomix.errors import (
     FormatError,
     InsufficientAudioError,
     InvalidConfigError,
+    InvalidInputError,
     UnsupportedFormatError,
 )
 
@@ -123,6 +124,42 @@ class TestStft:
         with pytest.raises(InvalidConfigError):
             ft.stft_magnitude(ft.AudioClip(np.zeros(100), 8000), 48, 16)
 
+    @pytest.mark.parametrize("n, window_len, hop", [
+        (64, 64, 32), (64, 64, 64), (1000, 64, 64), (1000, 64, 17),
+        (4097, 256, 1), (16001, 512, 160), (160000, 1024, 512),
+    ])
+    def test_strided_frames_equal_index_gather_bitwise(self, n, window_len, hop):
+        clip = ft.AudioClip(np.random.default_rng(n + hop).uniform(-1.0, 1.0, n), 16000)
+        got = ft.stft_magnitude(clip, window_len, hop)
+        want = gather_stft_magnitude(clip, window_len, hop)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def gather_stft_magnitude(clip, window_len, hop):
+    """Frames gathered through an index array; the reference for the
+    strided framing in stft_magnitude."""
+    samples = clip.samples
+    n_frames = (len(samples) - window_len) // hop + 1
+    idx = np.arange(window_len)[None, :] + hop * np.arange(n_frames)[:, None]
+    frames = samples[idx] * ft._hann_periodic(window_len)
+    return np.abs(np.fft.rfft(frames, axis=1)).T
+
+
+def loop_mel_filterbank(sample_rate_hz, window_len, mel_bands):
+    """One band per iteration; the reference for the broadcast in
+    mel_filterbank."""
+    bins = window_len // 2 + 1
+    edges_hz = ft.mel_to_hz(np.linspace(0.0, ft.hz_to_mel(sample_rate_hz / 2.0), mel_bands + 2))
+    bin_freqs = np.arange(bins) * sample_rate_hz / window_len
+    bank = np.zeros((mel_bands, bins))
+    for b in range(mel_bands):
+        lo, mid, hi = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
+        rising = (bin_freqs - lo) / (mid - lo)
+        falling = (hi - bin_freqs) / (hi - mid)
+        bank[b] = np.maximum(0.0, np.minimum(rising, falling))
+    return bank
+
 
 def independent_filterbank_rows(sample_rate_hz, window_len, mel_bands):
     """Second, independently written triangle evaluation (per-bin loop)."""
@@ -172,6 +209,20 @@ class TestMelProject:
     def test_too_many_bands_rejected(self):
         with pytest.raises(InvalidConfigError):
             ft.mel_filterbank(16000, 64, 40)
+
+    def test_empty_band_rejected(self):
+        with pytest.raises(InvalidConfigError, match="empty bands"):
+            ft.mel_filterbank(16000, 64, 16)
+
+    @pytest.mark.parametrize("sample_rate_hz, window_len, mel_bands", [
+        (16000, 1024, 64), (16000, 1024, 16), (8000, 256, 16), (16000, 512, 40),
+        (22050, 2048, 128), (44100, 4096, 64), (16000, 64, 2),
+    ])
+    def test_broadcast_equals_per_band_loop_bitwise(self, sample_rate_hz, window_len, mel_bands):
+        got = ft.mel_filterbank(sample_rate_hz, window_len, mel_bands)
+        want = loop_mel_filterbank(sample_rate_hz, window_len, mel_bands)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLogCompressAndFrame:
@@ -275,3 +326,44 @@ class TestPatchContainer:
         p.write_bytes(p.read_bytes() + b"xx")
         with pytest.raises(FormatError):
             ft.read_patchset(p)
+
+    def test_huge_header_counts(self, tmp_path):
+        p = tmp_path / "huge.gmgp"
+        p.write_bytes(ft.PATCH_MAGIC + struct.pack("<IIII", ft.PATCH_VERSION, *[0xFFFFFFFF] * 3))
+        with pytest.raises(FormatError):
+            ft.read_patchset(p)
+
+    def _with_stats(self):
+        ps = ft.gen_synthetic_dataset(5, 4, 0, shape=(4, 4))
+        ps.norm_stats = ft.compute_norm_stats(ps.patches)
+        return ps
+
+    def test_label_outside_known_values_rejected(self, tmp_path):
+        ps = self._with_stats()
+        p = tmp_path / "label.gmgp"
+        ft.write_patchset(p, ps)
+        blob = bytearray(p.read_bytes())
+        blob[20 + ps.patches.size * 4 + 2] = 7      # third patch's label
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="label 7"):
+            ft.read_patchset(p)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, np.nan, np.inf])
+    def test_std_not_finite_and_positive_rejected(self, tmp_path, std):
+        ps = self._with_stats()
+        ps.norm_stats.std[1] = std
+        p = tmp_path / "std.gmgp"
+        ft.write_patchset(p, ps)
+        with pytest.raises(FormatError):
+            ft.read_patchset(p)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        p = tmp_path / "keep.gmgp"
+        ft.write_patchset(p, self._with_stats())
+        before = p.read_bytes()
+        bad = self._with_stats()
+        bad.source_ids[-1] = "x" * 0x10000    # rejected after the patch values are written
+        with pytest.raises(InvalidInputError):
+            ft.write_patchset(p, bad)
+        assert p.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [p]

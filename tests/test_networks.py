@@ -1,5 +1,7 @@
 """Network shape contracts, determinism, init, checkpoint round-trip."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,73 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(FormatError):
             nets.load_checkpoint(p)
+
+    @pytest.mark.parametrize("old, new", [
+        (b"latent_dim=4", b"latent_dim=x"),
+        (b"init_seed=31", b"init_seed=z1"),
+        (b"leaky_slope=0.2", b"leaky_slope=0.x"),
+        (b"encoder_widths=16,8", b"encoder_widths=16;8"),
+    ])
+    def test_corrupt_config_value_is_format_error(self, tmp_path, old, new):
+        p = tmp_path / "cfg.gmgc"
+        nets.save_checkpoint(p, small_model(31))
+        blob = p.read_bytes()
+        assert old in blob
+        p.write_bytes(blob.replace(old, new))
+        with pytest.raises(FormatError):
+            nets.load_checkpoint(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_array_is_format_error(self, tmp_path, value):
+        model = small_model(4)
+        model.decoder.weights[1].data[2, 3] = value
+        p = tmp_path / "nan.gmgc"
+        nets.save_checkpoint(p, model)
+        with pytest.raises(FormatError, match="decoder.w1"):
+            nets.load_checkpoint(p)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, np.nan])
+    def test_norm_std_not_positive_is_format_error(self, tmp_path, std):
+        stats, gmm = self._stats_and_gmm()
+        stats.std[2] = std
+        p = tmp_path / "std.gmgc"
+        nets.save_checkpoint(p, small_model(4), stats, gmm)
+        with pytest.raises(FormatError):
+            nets.load_checkpoint(p)
+
+    @pytest.mark.parametrize("name", [b"norm.std", b"gmm.mu", b"gmm.sigma"])
+    def test_missing_partner_array_is_format_error(self, tmp_path, name):
+        stats, gmm = self._stats_and_gmm()
+        p = tmp_path / "partner.gmgc"
+        nets.save_checkpoint(p, small_model(4), stats, gmm)
+        blob = p.read_bytes()
+        p.write_bytes(blob.replace(name, name[:-1] + b"?"))
+        with pytest.raises(FormatError, match="missing array"):
+            nets.load_checkpoint(p)
+
+    def test_huge_array_dims(self, tmp_path):
+        p = tmp_path / "huge.gmgc"
+        p.write_bytes(
+            nets.CHECKPOINT_MAGIC + struct.pack("<III", nets.CHECKPOINT_VERSION, 0, 1)
+            + struct.pack("<H", 1) + b"x" + struct.pack("<B3I", 3, *[0xFFFFFFFF] * 3)
+        )
+        with pytest.raises(FormatError):
+            nets.load_checkpoint(p)
+
+    def test_layer_shape_mismatch_is_format_error(self, tmp_path):
+        p = tmp_path / "shape.gmgc"
+        nets.save_checkpoint(p, small_model(4))
+        p.write_bytes(p.read_bytes().replace(b"latent_dim=4", b"latent_dim=5"))
+        with pytest.raises(FormatError, match="shape mismatch"):
+            nets.load_checkpoint(p)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        stats, gmm = self._stats_and_gmm()
+        p = tmp_path / "keep.gmgc"
+        nets.save_checkpoint(p, small_model(5), stats, gmm)
+        before = p.read_bytes()
+        unwritable = NormStats(mean=stats.mean, std=np.array(["x"] * 6))
+        with pytest.raises(ValueError):     # raised after the network arrays are written
+            nets.save_checkpoint(p, small_model(6), unwritable, gmm)
+        assert p.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [p]
