@@ -15,8 +15,9 @@ no gradient work, and a parameter left out of ``wrt`` gets none either.
 Cotangents are owned on first write: a node keeps the first cotangent
 it receives as given, with no copy, and adds each later one out of
 place.  A closure may therefore pass on the array it received (``add``
-gives the same one to both operands, ``reshape`` a view of it), and no
-backward closure may write into the cotangent it receives.
+gives the same one to both operands) or a view (``mixture_moments``
+gives ``gamma`` a transposed one), and no backward closure may write
+into the cotangent it receives.
 ``backward`` copies a wanted gradient only when it is a view or already
 handed out, so the arrays it returns never alias each other.
 
@@ -84,37 +85,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r}, id={self.node_id})"
-
-    # Operator sugar for the common arithmetic; scalars auto-wrap.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x) -> Tensor:
@@ -301,23 +271,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
         lambda g, x, y: g * ((x > lo) & (x < hi)),
         "clip",
     )
-
-
-# ---------------------------------------------------------------------------
-# shape ops
-# ---------------------------------------------------------------------------
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    out = Tensor(a.data.reshape(shape), _parents=(a,), _op="reshape")
-
-    def bwd(g: np.ndarray) -> None:
-        if a._needed:
-            a._accum_cot(g.reshape(a.shape))
-
-    out._backward_fn = bwd
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -566,25 +519,18 @@ def l2_norm_rows(x: Tensor) -> Tensor:
     return out
 
 
-def _as_batch(a: Tensor) -> Tensor:
-    # A rank-1 tensor is a single sample, not a batch of scalars.
-    return reshape(a, (1, a.shape[0])) if a.ndim == 1 else a
-
-
 def l1_distance(a: Tensor, b: Tensor) -> Tensor:
     """Mean over the batch of the per-sample sum of absolute differences."""
-    if a.shape != b.shape:
-        raise ShapeError(f"l1_distance: shape mismatch {a.shape} vs {b.shape}")
-    d = _as_batch(sub(a, b))
-    return mean(sum_axis(absolute(d), 1))
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"l1_distance: expected two [n x d] batches, got {a.shape} and {b.shape}")
+    return mean(sum_axis(absolute(sub(a, b)), 1))
 
 
 def l2_distance(a: Tensor, b: Tensor) -> Tensor:
     """Mean over the batch of the per-sample Euclidean distance."""
-    if a.shape != b.shape:
-        raise ShapeError(f"l2_distance: shape mismatch {a.shape} vs {b.shape}")
-    d = _as_batch(sub(a, b))
-    return mean(l2_norm_rows(d))
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"l2_distance: expected two [n x d] batches, got {a.shape} and {b.shape}")
+    return mean(l2_norm_rows(sub(a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Anomaly scoring, ROC/AUC, and latent export.
+"""Anomaly scoring, ROC/AUC, and the scores CSV.
 
 The anomaly score of a patch is the Euclidean distance between its
 latent and the re-encoded latent of its reconstruction; a model trained
@@ -71,19 +71,6 @@ def score_design(model: nets.Model, design: np.ndarray, mode: str = "latent",
     return ad.l2_norm_rows(ad.sub(z, z_rec)).data.copy()
 
 
-def clip_score(patch_scores, aggregator: str = "max") -> float:
-    """Aggregate the patch scores of one clip; default max, so an anomaly
-    anywhere in the clip flags the whole clip."""
-    scores = np.asarray(list(patch_scores), dtype=np.float64)
-    if scores.size == 0:
-        raise InvalidInputError("cannot aggregate an empty set of patch scores")
-    if aggregator == "max":
-        return float(scores.max())
-    if aggregator == "mean":
-        return float(scores.mean())
-    raise InvalidInputError(f"unknown aggregator {aggregator!r}")
-
-
 def score_patchset(
     model: nets.Model,
     patchset: PatchSet,
@@ -91,11 +78,12 @@ def score_patchset(
     mode: str = "latent",
     gmm: mx.GmmParams | None = None,
     group_by_clip: bool = True,
-    aggregator: str = "max",
 ) -> list[ScoredSample]:
-    """Score every patch; optionally aggregate patches sharing a source id.
+    """Score every patch; optionally group patches sharing a source id.
 
-    A grouped clip is anomalous if any of its patches is labeled so.
+    A grouped clip scores as the max of its patch scores, so an anomaly
+    anywhere in the clip flags the whole clip, and it is anomalous if
+    any of its patches is labeled so.
     """
     if len(patchset) == 0:
         raise InvalidInputError("nothing to score")
@@ -117,7 +105,7 @@ def score_patchset(
     for sid in order:
         idx = grouped[sid]
         label = LABEL_ANOMALOUS if np.any(patchset.labels[idx] == LABEL_ANOMALOUS) else int(patchset.labels[idx[0]])
-        out.append(ScoredSample(sid, clip_score(scores[idx], aggregator), label))
+        out.append(ScoredSample(sid, float(scores[idx].max()), label))
     return out
 
 
@@ -200,40 +188,3 @@ def write_scores_csv(path, samples: list[ScoredSample]) -> None:
         writer.writerow(SCORES_HEADER)
         for s in samples:
             writer.writerow([s.source_id, repr(s.score), LABEL_NAMES[s.label]])
-
-
-def read_scores_csv(path) -> list[ScoredSample]:
-    names = {v: k for k, v in LABEL_NAMES.items()}
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORES_HEADER:
-            raise InvalidInputError(f"{path}: not a scores CSV (header {header})")
-        for row in reader:
-            sid, score, label = row
-            if label not in names:
-                raise InvalidInputError(f"{path}: unknown label {label!r}")
-            out.append(ScoredSample(sid, float(score), names[label]))
-    return out
-
-
-def export_latents(path, model: nets.Model, patchset: PatchSet, norm_stats=None,
-                   mode: str = "latent", gmm: mx.GmmParams | None = None) -> None:
-    """Write one row per patch: source id, label, latent coordinates, score."""
-    design = _design(model, patchset, norm_stats)
-    z = nets.encode(model, Tensor(design)).data
-    scores = score_design(model, design, mode=mode, gmm=gmm)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["source_id", "label"]
-            + [f"z_{i + 1}" for i in range(model.arch.latent_dim)]
-            + ["score"]
-        )
-        for i in range(len(patchset)):
-            writer.writerow(
-                [patchset.source_ids[i], LABEL_NAMES[int(patchset.labels[i])]]
-                + [repr(float(v)) for v in z[i]]
-                + [repr(float(scores[i]))]
-            )

@@ -107,14 +107,6 @@ class PatchSet:
     def shape(self) -> tuple[int, int]:
         return self.patches.shape[1], self.patches.shape[2]
 
-    def subset(self, idx) -> "PatchSet":
-        return PatchSet(
-            patches=self.patches[idx],
-            source_ids=[self.source_ids[i] for i in np.atleast_1d(idx)],
-            labels=self.labels[idx],
-            norm_stats=self.norm_stats,
-        )
-
 
 # ---------------------------------------------------------------------------
 # WAV decoding
@@ -359,8 +351,8 @@ def write_patchset(path, patchset: PatchSet) -> None:
 
 def read_patchset(path) -> PatchSet:
     """Parse a GMGP file.  Raises FormatError on any structural problem,
-    a label outside LABEL_NAMES, or norm stats that are not finite or
-    whose std is not positive."""
+    a patch value that is not finite, a label outside LABEL_NAMES, or
+    norm stats that are not finite or whose std is not positive."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 20 or blob[:4] != PATCH_MAGIC:
@@ -395,6 +387,8 @@ def read_patchset(path) -> PatchSet:
         raise FormatError(f"{path}: truncated or corrupt GMGP container") from err
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes after GMGP payload")
+    if not np.isfinite(patches).all():
+        raise FormatError(f"{path}: non-finite patch values")
     if labels.size and labels.max() > LABEL_UNKNOWN:
         raise FormatError(f"{path}: label {labels.max()} is not one of {sorted(LABEL_NAMES)}")
     if stats is not None:

@@ -1,4 +1,4 @@
-"""Gaussian-mixture estimation, sample energy, and the classical EM oracle.
+"""Gaussian-mixture estimation, sample energy, and the EM M-step oracle.
 
 The mixture is held as stacked tensors: weights [K], means [K x d] and
 covariances [K x d x d].  Two routes compute the same mixture statistics:
@@ -7,9 +7,9 @@ covariances [K x d x d].  Two routes compute the same mixture statistics:
   memberships with one batched op (``autodiff.mixture_moments``), so
   gradients flow back into both the latent batch and the membership
   matrix during training.
-* ``em_fit`` / ``_m_step`` are a plain-numpy classical EM implementation,
-  written independently, whose M-step must agree with ``estimate_gmm``
-  to 1e-12 on identical responsibilities (``cross_check_estimation``).
+* ``_m_step`` is a plain-numpy classical EM M-step, written
+  independently, which must agree with ``estimate_gmm`` to 1e-12 on
+  identical responsibilities (``cross_check_estimation``).
 
 Energies are computed in log space with log-sum-exp over the batched
 component log densities (``autodiff.gaussian_log_densities``);
@@ -19,13 +19,13 @@ from every component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InvalidInputError, NumericError, VerificationError
+from .errors import InvalidInputError, NumericError
 
 DEFAULT_COV_EPS = 1e-6
 DEGENERATE_MASS = 1e-12
@@ -49,10 +49,6 @@ class GmmParams:
     @property
     def n_components(self) -> int:
         return self.alpha.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
 
     @classmethod
     def from_arrays(cls, alpha: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> "GmmParams":
@@ -114,13 +110,6 @@ def energy_batch(z: Tensor, params: GmmParams) -> Tensor:
     return ad.neg(ad.logsumexp_rows(ad.add_rowvec(log_densities, log_alpha)))
 
 
-def energy(z: Tensor, params: GmmParams) -> Tensor:
-    """Negative log mixture density of one latent vector [d]."""
-    if z.ndim != 1:
-        raise InvalidInputError(f"energy expects a single vector, got shape {z.shape}")
-    return ad.reshape(energy_batch(ad.reshape(z, (1, z.shape[0])), params), ())
-
-
 def estimation_loss(
     z_batch: Tensor,
     gamma: Tensor,
@@ -143,7 +132,7 @@ def estimation_loss(
 
 
 # ---------------------------------------------------------------------------
-# classical EM (plain numpy): the independent oracle for the batch statistics
+# plain-numpy oracles: the mixture density and the EM M-step
 # ---------------------------------------------------------------------------
 
 def _log_gaussian(z: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -190,111 +179,11 @@ def _m_step(z: np.ndarray, resp: np.ndarray, eps: float) -> tuple[np.ndarray, np
     return alpha, means, covs
 
 
-@dataclass
-class EmResult:
-    params: GmmParams
-    log_likelihood: list = field(default_factory=list)  # mean log density per iteration
-
-
-def em_fit(
-    z: np.ndarray,
-    k_components: int,
-    seed: int,
-    iters: int = 50,
-    eps: float = DEFAULT_COV_EPS,
-) -> EmResult:
-    """Classical EM with distance-weighted (k-means++ style) seeding.
-
-    The mean log likelihood is recorded each iteration and must be
-    non-decreasing up to 1e-9 slack; a violation indicates a broken
-    E/M step and raises VerificationError.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise InvalidInputError(f"em_fit expects a sample matrix, got shape {z.shape}")
-    n = z.shape[0]
-    if n <= k_components:
-        raise InvalidInputError(f"need more samples ({n}) than components ({k_components})")
-    if iters < 1:
-        raise InvalidInputError("iters must be >= 1")
-    if not np.all(np.isfinite(z)):
-        raise NumericError("non-finite samples")
-
-    rng = np.random.default_rng(seed)
-    centers = [z[rng.integers(n)]]
-    for _ in range(1, k_components):
-        d2 = np.min([((z - c) ** 2).sum(axis=1) for c in centers], axis=0)
-        total = d2.sum()
-        if total <= 0.0:
-            centers.append(z[rng.integers(n)])
-            continue
-        centers.append(z[rng.choice(n, p=d2 / total)])
-    centers = np.stack(centers)
-
-    # Hard assignment to the nearest seed center gives the initial responsibilities.
-    d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    resp = np.zeros((n, k_components))
-    resp[np.arange(n), d2.argmin(axis=1)] = 1.0
-    alpha, means, covs = _m_step(z, resp, eps)
-
-    history: list[float] = []
-    for _ in range(iters):
-        logs = np.stack(
-            [np.log(np.maximum(alpha[k], 1e-300)) + _log_gaussian(z, means[k], covs[k]) for k in range(k_components)],
-            axis=1,
-        )
-        m = logs.max(axis=1, keepdims=True)
-        log_mix = m + np.log(np.exp(logs - m).sum(axis=1, keepdims=True))
-        history.append(float(log_mix.mean()))
-        if len(history) > 1 and history[-1] < history[-2] - 1e-9:
-            raise VerificationError(
-                f"EM log-likelihood decreased: {history[-2]} -> {history[-1]}"
-            )
-        resp = np.exp(logs - log_mix)
-        alpha, means, covs = _m_step(z, resp, eps)
-
-    return EmResult(params=GmmParams.from_arrays(alpha, means, covs), log_likelihood=history)
-
-
-# ---------------------------------------------------------------------------
-# cross-check between the two routes
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CrossCheckReport:
-    max_weight_diff: float
-    max_mean_diff: float
-    max_cov_diff: float
-    tolerance: float
-    ok: bool
-
-    def __str__(self) -> str:
-        status = "OK" if self.ok else "MISMATCH"
-        return (
-            f"membership-statistics cross-check [{status}] tol={self.tolerance:g} "
-            f"weights={self.max_weight_diff:.3e} means={self.max_mean_diff:.3e} "
-            f"covariances={self.max_cov_diff:.3e}"
-        )
-
-
-def cross_check_estimation(
-    z: np.ndarray,
-    gamma: np.ndarray,
-    eps: float = DEFAULT_COV_EPS,
-    tolerance: float = 1e-12,
-) -> CrossCheckReport:
-    """Compare estimate_gmm against one EM M-step on identical responsibilities."""
+def cross_check_estimation(z: np.ndarray, gamma: np.ndarray, eps: float = DEFAULT_COV_EPS) -> float:
+    """Largest absolute difference, over weights, means and covariances,
+    between estimate_gmm and one EM M-step on identical responsibilities."""
     z = np.asarray(z, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
-    graph_params = estimate_gmm(Tensor(z), Tensor(gamma), eps=eps)
-    g_alpha, g_means, g_covs = graph_params.as_arrays()
-    e_alpha, e_means, e_covs = _m_step(z, gamma, eps)
-    report = CrossCheckReport(
-        max_weight_diff=float(np.max(np.abs(g_alpha - e_alpha))),
-        max_mean_diff=float(np.max(np.abs(g_means - e_means))),
-        max_cov_diff=float(np.max(np.abs(g_covs - e_covs))),
-        tolerance=tolerance,
-        ok=True,
-    )
-    report.ok = max(report.max_weight_diff, report.max_mean_diff, report.max_cov_diff) <= tolerance
-    return report
+    graph = estimate_gmm(Tensor(z), Tensor(gamma), eps=eps).as_arrays()
+    oracle = _m_step(z, gamma, eps)
+    return max(float(np.max(np.abs(g - e))) for g, e in zip(graph, oracle))

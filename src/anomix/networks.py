@@ -38,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import replace_on_success
 from .autodiff import Tensor
-from .errors import FormatError, ShapeError
+from .errors import FormatError, InvalidConfigError, ShapeError
 from .features import NormStats
 from .mixture import GmmParams
 
@@ -60,6 +60,22 @@ class ArchConfig:
     estimator_widths: tuple = (16,)
     leaky_slope: float = 0.2
     output_scale: float = 4.0   # decoder tanh covers this many std units
+
+    def validate(self) -> None:
+        """Every dim and width >= 1 (a width tuple may be empty),
+        leaky_slope finite, output_scale finite and positive."""
+        sizes = {
+            "input_dim": (self.input_dim,), "latent_dim": (self.latent_dim,),
+            "n_components": (self.n_components,), "encoder_widths": self.encoder_widths,
+            "discriminator_widths": self.discriminator_widths, "estimator_widths": self.estimator_widths,
+        }
+        for name, values in sizes.items():
+            if not all(v >= 1 for v in values):
+                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not math.isfinite(self.leaky_slope):
+            raise InvalidConfigError(f"leaky_slope must be finite, got {self.leaky_slope}")
+        if not (math.isfinite(self.output_scale) and self.output_scale > 0):
+            raise InvalidConfigError(f"output_scale must be finite and > 0, got {self.output_scale}")
 
     def to_text(self) -> str:
         pairs = {}
@@ -87,7 +103,12 @@ class ArchConfig:
                     kwargs[key] = int(value)
             except ValueError as err:
                 raise FormatError(f"checkpoint config {key}={value!r} is not a valid {kinds[key]}") from err
-        return cls(**kwargs)
+        arch = cls(**kwargs)
+        try:
+            arch.validate()
+        except InvalidConfigError as err:
+            raise FormatError(f"checkpoint config: {err}") from err
+        return arch
 
 
 class Mlp:
@@ -269,7 +290,9 @@ def _array(path, arrays: dict, name: str) -> np.ndarray:
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse a GMGC file.  Raises FormatError on any structural problem,
-    a non-finite array or a norm std that is not positive."""
+    a config that fails ``ArchConfig.validate``, a non-finite array, a
+    norm std that is not positive, or a mixture whose shapes do not
+    match the arch's n_components and latent_dim."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -336,5 +359,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{path}: norm.std has a value that is not positive")
     gmm = None
     if "gmm.alpha" in arrays:
-        gmm = GmmParams.from_arrays(arrays["gmm.alpha"], _array(path, arrays, "gmm.mu"), _array(path, arrays, "gmm.sigma"))
+        k, d = arch.n_components, arch.latent_dim
+        expected = {"gmm.alpha": (k,), "gmm.mu": (k, d), "gmm.sigma": (k, d, d)}
+        for name, shape in expected.items():
+            if _array(path, arrays, name).shape != shape:
+                raise FormatError(f"{path}: {name} has shape {arrays[name].shape}, the arch needs {shape}")
+        gmm = GmmParams.from_arrays(*(arrays[name] for name in expected))
     return Checkpoint(model=model, norm_stats=stats, gmm=gmm)

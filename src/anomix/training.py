@@ -17,7 +17,8 @@ with the same inputs produce byte-identical checkpoints.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,15 +51,24 @@ class TrainConfig:
     checkpoint_every: int = 100
 
     def validate(self) -> None:
-        if self.epochs < 0:
+        # Every check is written as "not <what must hold>", so a NaN fails it.
+        if not self.epochs >= 0:
             raise InvalidConfigError("epochs must be >= 0")
-        if self.batch_size < 2:
+        if not self.batch_size >= 2:
             raise InvalidConfigError("batch_size must be >= 2 (mixture statistics need 2 samples)")
-        if self.lr_generator <= 0 or self.lr_discriminator <= 0:
-            raise InvalidConfigError("learning rates must be positive")
+        positive = {"lr_generator": self.lr_generator, "lr_discriminator": self.lr_discriminator,
+                    "adam_eps": self.adam_eps, "grad_clip": self.grad_clip}
+        for name, value in positive.items():
+            if not 0 < value < math.inf:
+                raise InvalidConfigError(f"{name} must be finite and > 0, got {value}")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise InvalidConfigError("adam betas must lie in [0, 1)")
-        if self.checkpoint_every < 1:
+        nonnegative = {"cov_eps": self.cov_eps, "lambda1": self.lambda1, "lambda2": self.lambda2,
+                       **asdict(self.weights)}
+        for name, value in nonnegative.items():
+            if not 0 <= value < math.inf:
+                raise InvalidConfigError(f"{name} must be finite and >= 0, got {value}")
+        if not self.checkpoint_every >= 1:
             raise InvalidConfigError("checkpoint_every must be >= 1")
 
 
@@ -83,8 +93,6 @@ def clip_global_norm(grads, max_norm: float) -> None:
     most steps, so another summation order would change the scale's
     last bits and with them every checkpoint.
     """
-    if max_norm <= 0:
-        return
     total = np.sqrt(sum(float((g * g).sum()) for g in grads))
     if total > max_norm:
         scale = max_norm / total
@@ -250,6 +258,7 @@ def fit(
     stays on disk.
     """
     config.validate()
+    arch.validate()
     if len(patches) < config.batch_size:
         raise InvalidInputError(
             f"training needs at least batch_size={config.batch_size} patches, got {len(patches)}"

@@ -90,7 +90,6 @@ def _op_gradient_cases(rng):
         ("op clip", lambda: ad.tensor_sum(ad.clip(pos, 0.6, 1.8)), pos),
         ("op matmul d/da", lambda: ad.tensor_sum(ad.mul(ad.matmul(a, c), w2)), a),
         ("op matmul d/dc", lambda: ad.tensor_sum(ad.mul(ad.matmul(a, c), w2)), c),
-        ("op reshape", lambda: ad.tensor_sum(ad.mul(ad.reshape(a, (2, 6)), Tensor(w.data.reshape(2, 6)))), a),
         ("op sum", lambda: ad.tensor_sum(a), a),
         ("op mean", lambda: ad.mean(a), a),
         ("op sum_axis 0", lambda: ad.tensor_sum(ad.mul(ad.sum_axis(a, 0), v)), a),
@@ -255,10 +254,8 @@ def mixture_cross_checks(seed: int = 0, instances: int = 100) -> CheckResult:
         d = int(rng.integers(1, 5))
         k = int(rng.integers(1, 5))
         g = rng.uniform(0.05, 1.0, size=(n, k))
-        report = mx.cross_check_estimation(
-            rng.standard_normal((n, d)), g / g.sum(axis=1, keepdims=True)
-        )
-        worst = max(worst, report.max_weight_diff, report.max_mean_diff, report.max_cov_diff)
+        gamma = g / g.sum(axis=1, keepdims=True)
+        worst = max(worst, mx.cross_check_estimation(rng.standard_normal((n, d)), gamma))
     return CheckResult("mixture statistics vs EM M-step", CROSS_CHECK_TOL, worst)
 
 
@@ -277,7 +274,7 @@ def energy_oracle_checks(seed: int = 0, instances: int = 100) -> CheckResult:
             covs[j] = m @ m.T + 0.5 * np.eye(d)
         params = mx.GmmParams.from_arrays(alpha, means, covs)
         z = rng.uniform(-3, 3, size=d)
-        got = mx.energy(Tensor(z), params).item()
+        got = mx.energy_batch(Tensor(z[None, :]), params).item()
         # naive density: plain determinant and inverse, no log-sum-exp
         density = 0.0
         for j in range(k):

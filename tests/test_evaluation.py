@@ -127,14 +127,6 @@ class TestScoring:
         for a, b in zip(per_patch, per_clip):
             assert a.score == b.score
 
-    def test_clip_aggregators(self):
-        assert ev.clip_score([1.0, 5.0, 2.0], "max") == 5.0
-        assert ev.clip_score([1.0, 5.0, 3.0], "mean") == 3.0
-        with pytest.raises(InvalidInputError):
-            ev.clip_score([], "max")
-        with pytest.raises(InvalidInputError):
-            ev.clip_score([1.0], "median")
-
     def test_grouping_aggregates_by_source_id(self):
         model, data, stats = self._model_and_data()
         data = PatchSet(
@@ -143,9 +135,10 @@ class TestScoring:
             labels=data.labels,
         )
         per_patch = ev.score_patchset(model, data, stats, group_by_clip=False)
-        grouped = ev.score_patchset(model, data, stats, group_by_clip=True, aggregator="mean")
+        grouped = ev.score_patchset(model, data, stats, group_by_clip=True)
         assert [g.source_id for g in grouped] == ["clip-a", "clip-b"]
-        assert grouped[0].score == pytest.approx(np.mean([s.score for s in per_patch[:9]]))
+        assert grouped[0].score == max(s.score for s in per_patch[:9])
+        assert grouped[1].score == max(s.score for s in per_patch[9:])
         assert grouped[1].label == LABEL_ANOMALOUS  # contains anomalous patches
 
     def test_energy_mode_needs_mixture(self):
@@ -165,24 +158,8 @@ class TestExports:
     def test_scores_csv(self, tmp_path):
         path = tmp_path / "scores.csv"
         ev.write_scores_csv(path, make_samples([0.25, 0.5], "an"))
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ev.SCORES_HEADER
         assert rows[1] == ["s0", "0.25", "anomalous"]
         assert rows[2] == ["s1", "0.5", "normal"]
-
-    def test_latents_csv_shape_and_roundtrip(self, tmp_path):
-        model = nets.init_model(ARCH, 3)
-        data = gen_synthetic_dataset(3, 5, 2, shape=(8, 8))
-        stats = NormStats(mean=np.zeros(8), std=np.ones(8))
-        path = tmp_path / "latents.csv"
-        ev.export_latents(path, model, data, stats)
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["source_id", "label", "z_1", "z_2", "z_3", "score"]
-        assert len(rows) - 1 == 7
-        assert len(rows[0]) == 3 + ARCH.latent_dim
-        # values survive the text round trip at full float64 precision
-        from anomix.autodiff import Tensor
-        design = np.stack([stats.apply(p) for p in data.patches]).reshape(7, -1)
-        z = nets.encode(model, Tensor(design)).data
-        for i, row in enumerate(rows[1:]):
-            np.testing.assert_array_equal(np.array([float(v) for v in row[2:5]]), z[i])

@@ -357,6 +357,15 @@ class TestPatchContainer:
         with pytest.raises(FormatError):
             ft.read_patchset(p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_patch_value_rejected(self, tmp_path, value):
+        ps = self._with_stats()
+        ps.patches[1, 2, 3] = value
+        p = tmp_path / "nan.gmgp"
+        ft.write_patchset(p, ps)
+        with pytest.raises(FormatError, match="non-finite patch"):
+            ft.read_patchset(p)
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         p = tmp_path / "keep.gmgp"
         ft.write_patchset(p, self._with_stats())

@@ -7,7 +7,7 @@ import pytest
 
 from anomix import mixture as mx
 from anomix.autodiff import Tensor
-from anomix.errors import InvalidInputError, VerificationError
+from anomix.errors import InvalidInputError
 
 EPS = mx.DEFAULT_COV_EPS
 
@@ -41,6 +41,11 @@ def direct_statistics(z, gamma, eps):
             covs[k] += gamma[i, k] * np.outer(diff, diff)
         covs[k] = covs[k] / mass + eps * np.eye(d)
     return alpha, means, covs
+
+
+def energy_of(z, params):
+    """Energy of one latent vector [d], scored as a batch of one."""
+    return mx.energy_batch(Tensor(np.asarray(z, dtype=np.float64)[None, :]), params).item()
 
 
 def naive_mixture_energy(z, alpha, means, covs):
@@ -112,15 +117,13 @@ class TestEstimateGmm:
 class TestEnergy:
     def test_standard_normal_at_mode_1d(self):
         params = mx.GmmParams.from_arrays(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1, 1)))
-        e = mx.energy(Tensor([0.0]), params)
-        assert e.item() == pytest.approx(0.5 * math.log(2.0 * math.pi), abs=1e-12)
+        assert energy_of([0.0], params) == pytest.approx(0.5 * math.log(2.0 * math.pi), abs=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
     def test_identity_covariance_at_mode(self, d):
         mu = np.linspace(-1.0, 1.0, d)
         params = mx.GmmParams.from_arrays(np.array([1.0]), mu[None, :], np.eye(d)[None, :, :])
-        e = mx.energy(Tensor(mu), params)
-        assert e.item() == pytest.approx(0.5 * d * math.log(2.0 * math.pi), abs=1e-12)
+        assert energy_of(mu, params) == pytest.approx(0.5 * d * math.log(2.0 * math.pi), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_density_oracle(self, seed):
@@ -135,7 +138,7 @@ class TestEnergy:
         params = mx.GmmParams.from_arrays(alpha, means, covs)
         for _ in range(20):
             z = rng.uniform(-3, 3, size=2)
-            got = mx.energy(Tensor(z), params).item()
+            got = energy_of(z, params)
             want = naive_mixture_energy(z, alpha, means, covs)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -146,8 +149,8 @@ class TestEnergy:
         covs = np.stack([np.eye(4) * s for s in (0.5, 1.0, 2.0)])
         z = rng.standard_normal(4)
         perm = [2, 0, 1]
-        e1 = mx.energy(Tensor(z), mx.GmmParams.from_arrays(alpha, means, covs)).item()
-        e2 = mx.energy(Tensor(z), mx.GmmParams.from_arrays(alpha[perm], means[perm], covs[perm])).item()
+        e1 = energy_of(z, mx.GmmParams.from_arrays(alpha, means, covs))
+        e2 = energy_of(z, mx.GmmParams.from_arrays(alpha[perm], means[perm], covs[perm]))
         assert e1 == pytest.approx(e2, abs=1e-12)
 
     def test_monotone_in_mahalanobis_distance_single_component(self):
@@ -159,7 +162,7 @@ class TestEnergy:
         for _ in range(10):
             direction = rng.standard_normal(3)
             energies = [
-                mx.energy(Tensor(mu + t * direction), params).item()
+                energy_of(mu + t * direction, params)
                 for t in np.linspace(0.0, 5.0, 12)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
@@ -194,61 +197,20 @@ class TestEstimationLoss:
         assert loss.item() == pytest.approx(0.5 * d * math.log(2.0 * math.pi), abs=1e-12)
 
 
-class TestEmFit:
-    def test_recovers_separated_gaussians(self):
-        rng = np.random.default_rng(20)
-        a = rng.normal(0.0, 1.0, size=(150, 2))
-        b = rng.normal(10.0, 1.0, size=(150, 2))  # 10 sigma separation
-        z = np.vstack([a, b])
-        result = mx.em_fit(z, 2, seed=0, iters=40)
-        _, means, _ = result.params.as_arrays()
-        means = means[np.argsort(means[:, 0])]
-        np.testing.assert_allclose(means[0], a.mean(axis=0), atol=0.1)
-        np.testing.assert_allclose(means[1], b.mean(axis=0), atol=0.1)
-
-    def test_single_component_closed_form(self):
-        rng = np.random.default_rng(21)
-        z = rng.standard_normal((40, 3)) * 2.0 + 1.0
-        result = mx.em_fit(z, 1, seed=3, iters=5)
-        alpha, means, covs = result.params.as_arrays()
-        assert alpha[0] == 1.0
-        np.testing.assert_allclose(means[0], z.mean(axis=0), atol=1e-12)
-        centered = z - z.mean(axis=0)
-        expected = centered.T @ centered / len(z) + EPS * np.eye(3)
-        np.testing.assert_allclose(covs[0], expected, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_log_likelihood_non_decreasing(self, seed):
-        rng = np.random.default_rng(900 + seed)
-        z = np.vstack([
-            rng.normal(-2.0, 0.7, size=(60, 2)),
-            rng.normal(2.0, 1.2, size=(60, 2)),
-        ])
-        history = mx.em_fit(z, 3, seed=seed, iters=30).log_likelihood
-        assert len(history) == 30
-        assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
-
-    def test_needs_more_samples_than_components(self):
-        with pytest.raises(InvalidInputError):
-            mx.em_fit(np.zeros((3, 2)), 3, seed=0)
-
-
 class TestCrossCheck:
     def test_random_instances_match(self):
         rng = np.random.default_rng(30)
         for _ in range(10):
             n, d, k = int(rng.integers(2, 50)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            report = mx.cross_check_estimation(rng.standard_normal((n, d)), random_memberships(rng, n, k))
-            assert report.ok, str(report)
+            err = mx.cross_check_estimation(rng.standard_normal((n, d)), random_memberships(rng, n, k))
+            assert err <= 1e-12, err
 
     def test_hand_case_matches(self):
         z = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 10.0], [12.0, 10.0]])
         gamma = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        assert mx.cross_check_estimation(z, gamma).ok
+        assert mx.cross_check_estimation(z, gamma) <= 1e-12
 
     def test_smallest_case_matches(self):
         z = np.array([[1.0], [3.0]])
         gamma = np.ones((2, 1))
-        report = mx.cross_check_estimation(z, gamma)
-        assert report.ok
-        assert "OK" in str(report)
+        assert mx.cross_check_estimation(z, gamma) <= 1e-12

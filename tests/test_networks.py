@@ -8,7 +8,7 @@ import pytest
 from anomix import autodiff as ad
 from anomix import networks as nets
 from anomix.autodiff import Tensor
-from anomix.errors import FormatError, ShapeError
+from anomix.errors import FormatError, InvalidConfigError, ShapeError
 from anomix.features import NormStats
 from anomix.mixture import GmmParams
 
@@ -129,6 +129,34 @@ class TestInit:
                 assert not b.data.any()
 
 
+class TestArchValidation:
+    @pytest.mark.parametrize("bad", [
+        dict(input_dim=0),
+        dict(latent_dim=0),
+        dict(n_components=0),
+        dict(encoder_widths=(0,)),
+        dict(discriminator_widths=(8, -1)),
+        dict(estimator_widths=(0,)),
+        dict(leaky_slope=float("nan")),
+        dict(leaky_slope=float("inf")),
+        dict(output_scale=-1.0),
+        dict(output_scale=0.0),
+        dict(output_scale=float("nan")),
+        dict(output_scale=float("inf")),
+    ])
+    def test_invalid_arch_rejected(self, bad):
+        with pytest.raises(InvalidConfigError):
+            nets.ArchConfig(**bad).validate()
+
+    def test_empty_width_tuples_are_valid(self):
+        nets.ArchConfig(encoder_widths=(), discriminator_widths=(), estimator_widths=()).validate()
+
+    def test_from_text_rejects_invalid_arch(self):
+        text = SMALL.to_text().replace("latent_dim=4", "latent_dim=0")
+        with pytest.raises(FormatError, match="latent_dim"):
+            nets.ArchConfig.from_text(text)
+
+
 class TestCheckpoint:
     def _stats_and_gmm(self):
         rng = np.random.default_rng(5)
@@ -236,6 +264,15 @@ class TestCheckpoint:
         nets.save_checkpoint(p, small_model(4))
         p.write_bytes(p.read_bytes().replace(b"latent_dim=4", b"latent_dim=5"))
         with pytest.raises(FormatError, match="shape mismatch"):
+            nets.load_checkpoint(p)
+
+    @pytest.mark.parametrize("k, d", [(3, 3), (2, 4), (4, 4)])
+    def test_mixture_shape_not_matching_arch_is_format_error(self, tmp_path, k, d):
+        # SMALL has n_components=3 and latent_dim=4.
+        gmm = GmmParams.from_arrays(np.full(k, 1.0 / k), np.zeros((k, d)), np.stack([np.eye(d)] * k))
+        p = tmp_path / "gmm.gmgc"
+        nets.save_checkpoint(p, small_model(4), gmm=gmm)
+        with pytest.raises(FormatError, match="gmm"):
             nets.load_checkpoint(p)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):

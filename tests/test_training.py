@@ -9,7 +9,7 @@ import pytest
 from anomix import networks as nets
 from anomix import training as tr
 from anomix.errors import DataError, InvalidConfigError, InvalidInputError, NumericError
-from anomix.features import LABEL_ANOMALOUS, gen_synthetic_dataset
+from anomix.features import LABEL_ANOMALOUS, PatchSet, gen_synthetic_dataset
 from anomix.losses import LossWeights
 from anomix.autodiff import Tensor
 
@@ -181,7 +181,8 @@ class TestFit:
         metrics = tmp_path / "metrics.csv"
         cfg = tr.TrainConfig(epochs=2, batch_size=16, seed=1)
         result = tr.fit(cfg, TINY_ARCH, data, metrics_path=metrics)
-        rows = list(csv.reader(metrics.open()))
+        with metrics.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == tr.METRICS_HEADER
         assert len(rows) - 1 == len(result.history) == 2 * (64 // 16)
         for row, bd in zip(rows[1:], result.history):
@@ -202,7 +203,7 @@ class TestFit:
             tr.fit(TINY_CONFIG, TINY_ARCH, data)
 
     def test_rejects_empty_dataset(self):
-        data = tiny_data().subset(np.array([], dtype=int))
+        data = PatchSet(patches=np.zeros((0, 16, 16)))
         with pytest.raises(InvalidInputError):
             tr.fit(TINY_CONFIG, TINY_ARCH, data)
 
@@ -210,6 +211,13 @@ class TestFit:
         metrics = tmp_path / "metrics.csv"
         with pytest.raises(InvalidInputError):
             tr.fit(tr.TrainConfig(batch_size=64), TINY_ARCH, tiny_data(n=10), metrics_path=metrics)
+        assert not metrics.exists()
+
+    def test_rejects_invalid_arch_before_any_state(self, tmp_path):
+        metrics = tmp_path / "metrics.csv"
+        arch = nets.ArchConfig(input_dim=256, latent_dim=0)
+        with pytest.raises(InvalidConfigError, match="latent_dim"):
+            tr.fit(TINY_CONFIG, arch, tiny_data(), metrics_path=metrics)
         assert not metrics.exists()
 
     def test_rejects_mismatched_arch(self):
@@ -230,8 +238,31 @@ class TestConfigValidation:
         dict(lr_generator=0.0),
         dict(adam_beta1=1.0),
         dict(checkpoint_every=0),
+        dict(epochs=float("nan")),
+        dict(batch_size=float("nan")),
+        dict(checkpoint_every=float("nan")),
+        dict(lr_generator=float("nan")),
+        dict(lr_discriminator=float("inf")),
+        dict(adam_eps=0.0),
+        dict(adam_eps=float("nan")),
+        dict(grad_clip=0.0),
+        dict(grad_clip=-1.0),
+        dict(grad_clip=float("nan")),
+        dict(grad_clip=float("inf")),
+        dict(cov_eps=-1e-6),
+        dict(cov_eps=float("nan")),
+        dict(lambda1=-0.1),
+        dict(lambda1=float("nan")),
+        dict(lambda2=float("inf")),
+        dict(weights=LossWeights(w_image=-1.0)),
+        dict(weights=LossWeights(w_adversarial=float("nan"))),
+        dict(weights=LossWeights(w_latent=float("inf"))),
+        dict(weights=LossWeights(w_estimation=float("nan"))),
     ])
     def test_invalid_configs_rejected(self, bad):
         cfg = tr.TrainConfig(**bad)
         with pytest.raises(InvalidConfigError):
             cfg.validate()
+
+    def test_zero_loss_weights_and_cov_eps_are_valid(self):
+        tr.TrainConfig(weights=LossWeights(0.0, 0.0, 0.0, 0.0), cov_eps=0.0, lambda1=0.0).validate()
