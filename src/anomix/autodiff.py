@@ -1,4 +1,5 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic
+differentiation.
 
 Define-by-run: each operation records its parent tensors and a closure
 that maps the output cotangent onto its parents' cotangents.
@@ -21,6 +22,16 @@ into the cotangent it receives.
 ``backward`` copies a wanted gradient only when it is a view or already
 handed out, so the arrays it returns never alias each other.
 
+One dtype rule covers every op.  A ``Tensor`` keeps float32 input as
+float32 and stores everything else as float64.  A Python scalar operand
+takes its partner operand's dtype, so scaling a float32 tensor keeps it
+float32.  An op on two tensors of different dtypes computes in float64
+(numpy's promotion), and a node's cotangent is always cast to that
+node's dtype, so the float32 side of such an op still gets a float32
+gradient.  ``cast`` converts explicitly and is differentiable.  The
+scalar reductions ``mean`` and ``tensor_sum`` accumulate in float64,
+so every loss is a float64 scalar.
+
 Shape discipline is strict: binary elementwise ops require equal shapes,
 the only implicit broadcast is scalar-with-tensor.  Everything else is a
 named structured op (``add_rowvec``, ``diag_part``, ...) whose shape
@@ -42,7 +53,10 @@ _node_ids = itertools.count()
 
 
 class Tensor:
-    """A dense float64 array plus its position in the current graph.
+    """A dense array plus its position in the current graph.
+
+    The array is float32 when given float32 values and float64 otherwise
+    (see the module docstring).
 
     ``_needed`` and ``_cot`` (the cotangent so far) are set and cleared
     within one ``backward`` call.
@@ -51,7 +65,9 @@ class Tensor:
     __slots__ = ("data", "node_id", "_parents", "_backward_fn", "_op", "_needed", "_cot")
 
     def __init__(self, data, *, _parents=(), _backward=None, _op="leaf"):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite values produced by '{_op}'")
         self.data = arr
@@ -78,17 +94,16 @@ class Tensor:
     def _accum_cot(self, g: np.ndarray) -> None:
         # Owned on first write (see the module docstring): the first
         # cotangent is kept as given, and may be shared with another node
-        # or be a view, so later ones are added out of place.
+        # or be a view, so later ones are added out of place.  One in
+        # another dtype is cast to this node's.
         if g.shape != self.data.shape:
             raise ShapeError(f"cotangent of shape {g.shape} for '{self._op}' of shape {self.shape}")
+        if g.dtype != self.data.dtype:
+            g = g.astype(self.data.dtype)
         self._cot = g if self._cot is None else self._cot + g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r}, id={self.node_id})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
@@ -168,7 +183,11 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _binary(a, b, fwd, da, db, name: str) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    # A Python scalar takes its partner's dtype.
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
     _check_binary_shapes(a, b, name)
     # Overflow/zero-division surface as NumericError via the finiteness
     # check in the constructor; numpy's own warning is redundant here.
@@ -235,7 +254,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     return _unary(
         a,
         lambda x: np.where(x > 0.0, x, slope * x),
-        lambda g, x, y: g * np.where(x > 0.0, 1.0, slope),
+        lambda g, x, y: np.where(x > 0.0, g, slope * g),
         "leaky_relu",
     )
 
@@ -273,6 +292,24 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     )
 
 
+def cast(a: Tensor, dtype) -> Tensor:
+    """``a`` converted to ``dtype``; ``a`` itself when it has that dtype
+    already.  The cotangent is cast back to ``a``'s dtype."""
+    if a.data.dtype == dtype:
+        return a
+    # A value out of the target's range becomes inf, which the
+    # constructor reports as a NumericError.
+    with np.errstate(over="ignore"):
+        out = Tensor(a.data.astype(dtype), _parents=(a,), _op="cast")
+
+    def bwd(g: np.ndarray) -> None:
+        if a._needed:
+            a._accum_cot(g)
+
+    out._backward_fn = bwd
+    return out
+
+
 # ---------------------------------------------------------------------------
 # linear algebra and reductions
 # ---------------------------------------------------------------------------
@@ -296,23 +333,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def tensor_sum(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(), _parents=(a,), _op="sum")
+    """Sum of every entry, accumulated in float64."""
+    out = Tensor(a.data.sum(dtype=np.float64), _parents=(a,), _op="sum")
 
     def bwd(g: np.ndarray) -> None:
         if a._needed:
-            a._accum_cot(np.broadcast_to(g, a.shape).copy())
+            a._accum_cot(np.full(a.shape, g, dtype=a.data.dtype))
 
     out._backward_fn = bwd
     return out
 
 
 def mean(a: Tensor) -> Tensor:
+    """Mean of every entry, accumulated in float64."""
     n = a.data.size
-    out = Tensor(a.data.mean(), _parents=(a,), _op="mean")
+    out = Tensor(a.data.mean(dtype=np.float64), _parents=(a,), _op="mean")
 
     def bwd(g: np.ndarray) -> None:
         if a._needed:
-            a._accum_cot(np.broadcast_to(g / n, a.shape).copy())
+            a._accum_cot(np.full(a.shape, g / n, dtype=a.data.dtype))
 
     out._backward_fn = bwd
     return out

@@ -66,7 +66,7 @@ def score_design(model: nets.Model, design: np.ndarray, mode: str = "latent",
     if mode == "energy":
         if gmm is None:
             raise InvalidInputError("energy scoring needs the checkpointed mixture")
-        return mx.energy_batch(z, gmm).data.copy()
+        return mx.energy_batch(ad.cast(z, np.float64), gmm).data.copy()
     z_rec = nets.encode_aux(model, nets.decode(model, z))
     return ad.l2_norm_rows(ad.sub(z, z_rec)).data.copy()
 

@@ -7,6 +7,11 @@ reconstruction and acts as the anchor the latent-distance loss pulls
 toward, so tying it to the encoder would collapse the two sides of that
 distance.
 
+The encoder, decoder, auxiliary encoder and discriminator compute in
+the model's dtype, float32 unless ``init_model`` is asked for float64.
+The estimator is always float64: it feeds the mixture head, whose
+covariances, Cholesky factors and energies are float64.
+
 Checkpoint ("GMGC" file), all integers little-endian:
 
     offset  size        field
@@ -25,6 +30,11 @@ Checkpoint ("GMGC" file), all integers little-endian:
 Array names: "<network>.w<i>"/"<network>.b<i>" for the five networks,
 "norm.mean"/"norm.std" for feature normalization, and optionally
 "gmm.alpha"/"gmm.mu"/"gmm.sigma" for the deployment mixture.
+
+Values are float64 on disk whatever the model's dtype: a float32
+parameter widens to float64 exactly, so saving and loading a float32
+model gives back the same values.  ``load_checkpoint`` builds the
+float32 model and narrows each network array once.
 """
 
 from __future__ import annotations
@@ -46,6 +56,9 @@ CHECKPOINT_MAGIC = b"GMGC"
 CHECKPOINT_VERSION = 1
 
 NETWORK_NAMES = ("encoder", "decoder", "aux_encoder", "discriminator", "estimator")
+
+# Compute dtype of the four big networks in a new or loaded model.
+DEFAULT_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -112,7 +125,8 @@ class ArchConfig:
 
 
 class Mlp:
-    """Fully connected stack; weights [in x out], biases [out]."""
+    """Fully connected stack; weights [in x out], biases [out], all of
+    one dtype."""
 
     def __init__(self, weights, biases, hidden, output, leaky_slope=0.2):
         self.weights = weights
@@ -132,12 +146,18 @@ class Mlp:
             return ad.sigmoid(h)
         raise ValueError(f"unknown activation {kind!r}")
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].data.dtype
+
     def forward(self, x: Tensor) -> Tensor:
+        """The network's output for a batch [n x in], computed in the
+        network's dtype; ``x`` is cast to it first."""
         if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
             raise ShapeError(
                 f"expected input [batch x {self.weights[0].shape[0]}], got {x.shape}"
             )
-        h = x
+        h = ad.cast(x, self.dtype)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = ad.add_rowvec(ad.matmul(h, w), b)
@@ -193,16 +213,28 @@ class Model:
         return [p for name in NETWORK_NAMES for p in self.network(name).parameters()]
 
 
-def init_model(arch: ArchConfig, seed: int) -> Model:
-    """Deterministic Xavier-uniform initialization, biases zero."""
+def _network_dtype(name: str, dtype) -> np.dtype:
+    # ``dtype`` for the four big networks.  The estimator, and the norm
+    # and mixture arrays of a checkpoint, are float64 in every model.
+    return np.dtype(dtype if name in NETWORK_NAMES and name != "estimator" else np.float64)
+
+
+def init_model(arch: ArchConfig, seed: int, dtype=DEFAULT_DTYPE) -> Model:
+    """Deterministic Xavier-uniform initialization, biases zero.
+
+    The four big networks get ``dtype`` (float32 or float64), the
+    estimator float64.  The values are drawn in float64 and rounded, so
+    both dtypes start from the same draws.
+    """
     rng = np.random.default_rng(seed)
     nets = {}
     for name, (dims, hidden, output) in _network_layouts(arch).items():
+        net_dtype = _network_dtype(name, dtype)
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
-            biases.append(Tensor(np.zeros(fan_out)))
+            weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(net_dtype)))
+            biases.append(Tensor(np.zeros(fan_out, dtype=net_dtype)))
         nets[name] = Mlp(weights, biases, hidden, output, arch.leaky_slope)
     return Model(arch=arch, init_seed=seed, **nets)
 
@@ -289,10 +321,12 @@ def _array(path, arrays: dict, name: str) -> np.ndarray:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse a GMGC file.  Raises FormatError on any structural problem,
-    a config that fails ``ArchConfig.validate``, a non-finite array, a
-    norm std that is not positive, or a mixture whose shapes do not
-    match the arch's n_components and latent_dim."""
+    """Parse a GMGC file into a model of the default dtype.  Raises
+    FormatError on any structural problem, a config that fails
+    ``ArchConfig.validate``, an array value that is not finite in the
+    dtype it is loaded as (so a float32 network's value above float32's
+    range too), a norm std that is not positive, or a mixture whose
+    shapes do not match the arch's n_components and latent_dim."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -306,7 +340,7 @@ def load_checkpoint(path) -> Checkpoint:
         off += config_len
         (count,) = struct.unpack_from("<I", blob, off)
         off += 4
-        arrays = {}
+        stored = {}     # name -> read-only view into blob
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, off)
             off += 2
@@ -317,15 +351,21 @@ def load_checkpoint(path) -> Checkpoint:
             dims = struct.unpack_from(f"<{ndim}I", blob, off)
             off += 4 * ndim
             n = math.prod(dims)
-            arrays[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(dims).copy()
+            stored[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(dims)
             off += 8 * n
     except (struct.error, ValueError, OverflowError) as err:
         raise FormatError(f"{path}: truncated or corrupt checkpoint") from err
     if off != len(blob):
         raise FormatError(f"{path}: trailing bytes after checkpoint payload")
-    for name, arr in arrays.items():
+    arrays = {}
+    for name, view in stored.items():
+        # The one copy: a value too large for float32 becomes inf here,
+        # and the finiteness check below rejects it.
+        with np.errstate(over="ignore"):
+            arr = view.astype(_network_dtype(name.partition(".")[0], DEFAULT_DTYPE))
         if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: array {name!r} has non-finite values")
+            raise FormatError(f"{path}: array {name!r} has values that are not finite as {arr.dtype}")
+        arrays[name] = arr
 
     seed = 0
     config_lines = []

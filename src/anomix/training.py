@@ -9,6 +9,12 @@ and get no gradient work.  The membership gradient reaches the encoder
 through the latent batch, which is the point of training the density
 estimator jointly instead of fitting a mixture afterwards.
 
+The encoder, decoder, auxiliary encoder and discriminator compute in
+the model's dtype (float32 by default), and so do their gradients and
+Adam moments.  The latent is cast to float64 once, where it enters the
+estimator and the mixture statistics, and every loss is a float64
+scalar (see ``autodiff``).
+
 Everything is deterministic in (seed, config, data): initialization,
 shuffling, and updates derive from one seeded generator, so two runs
 with the same inputs produce byte-identical checkpoints.
@@ -74,7 +80,7 @@ class TrainConfig:
 
 class AdamState:
     """First/second moment buffers plus the shared step counter for one
-    parameter group."""
+    parameter group; each moment has its parameter's dtype."""
 
     def __init__(self, params, lr: float, beta1: float, beta2: float, eps: float):
         self.lr = lr
@@ -89,9 +95,10 @@ class AdamState:
 def clip_global_norm(grads, max_norm: float) -> None:
     """Scale the whole gradient group so its joint norm is <= max_norm.
 
-    The norm is a per-array pairwise ``(g * g).sum()``: clipping fires on
-    most steps, so another summation order would change the scale's
-    last bits and with them every checkpoint.
+    The norm is a per-array pairwise ``(g * g).sum()``, in each array's
+    own dtype, added up as Python floats: clipping fires on most steps,
+    so another summation order would change the scale's last bits and
+    with them every checkpoint.
     """
     total = np.sqrt(sum(float((g * g).sum()) for g in grads))
     if total > max_norm:
@@ -112,15 +119,20 @@ def adam_update(params, grads, state: AdamState) -> None:
     Each parameter is walked in blocks of ``ADAM_BLOCK`` elements, and
     every block runs the textbook formula's elementwise operations in
     the textbook order, so the result is bitwise that of whole-array
-    updates.  The consumed gradient block is reused as a buffer, so the
-    gradient arrays hold scratch values afterwards.
+    updates.  Each parameter is updated in its own dtype, with a scratch
+    buffer of that dtype, and its gradient must have that dtype too.
+    The consumed gradient block is reused as a buffer, so the gradient
+    arrays hold scratch values afterwards.
     """
     state.step_count += 1
     t = state.step_count
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
-    scratch = np.empty(min(ADAM_BLOCK, max((p.data.size for p in params), default=0)))
+    sizes: dict[np.dtype, int] = {}
+    for p in params:
+        sizes[p.data.dtype] = max(sizes.get(p.data.dtype, 0), min(ADAM_BLOCK, p.data.size))
+    scratch = {dtype: np.empty(size, dtype) for dtype, size in sizes.items()}
     for p, g, m, v in zip(params, grads, state.m, state.v):
         p_flat = p.data.reshape(-1, copy=False)
         g_flat = g.reshape(-1)
@@ -128,7 +140,7 @@ def adam_update(params, grads, state: AdamState) -> None:
         for start in range(0, p_flat.size, ADAM_BLOCK):
             block = slice(start, start + ADAM_BLOCK)
             pb, gb, mb, vb = p_flat[block], g_flat[block], m_flat[block], v_flat[block]
-            tmp = scratch[:pb.size]
+            tmp = scratch[pb.dtype][:pb.size]
             # m = b1 m + (1 - b1) g
             np.multiply(gb, 1.0 - b1, out=tmp)
             mb *= b1
@@ -176,7 +188,8 @@ def make_train_state(arch: nets.ArchConfig, config: TrainConfig) -> TrainState:
 def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.LossBreakdown:
     """One discriminator update then one generator update on a batch.
 
-    ``batch`` is a normalized [n x input_dim] design matrix with n >= 2.
+    ``batch`` is a normalized [n x input_dim] design matrix with n >= 2,
+    cast to the networks' dtype here.
     A zero adversarial weight disables the discriminator update entirely
     (its loss is still evaluated for the log).
     """
@@ -185,7 +198,7 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     model = state.model
     w = config.weights
 
-    x = Tensor(batch)
+    x = Tensor(batch.astype(model.encoder.dtype, copy=False))
     z = nets.encode(model, x)
     x_rec = nets.decode(model, z)
 
@@ -201,14 +214,16 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
 
     # Generator side: reconstruction, latent round-trip, memberships,
     # batch mixture statistics, energies.  The discriminator is evaluated
-    # with its fresh parameters but not updated here.
+    # with its fresh parameters but not updated here.  The mixture side
+    # sees the latent in float64.
     z_rec = nets.encode_aux(model, x_rec)
-    gamma = nets.membership(model, z)
-    gmm = mx.estimate_gmm(z, gamma, eps=config.cov_eps)
+    z_mix = ad.cast(z, np.float64)
+    gamma = nets.membership(model, z_mix)
+    gmm = mx.estimate_gmm(z_mix, gamma, eps=config.cov_eps)
     image_loss = ls.image_reconstruction_loss(x, x_rec)
     latent_loss = ls.latent_representation_loss(z, z_rec)
     gen_adv_loss = ls.generator_adversarial_loss(nets.discriminate(model, x_rec))
-    est_loss = mx.estimation_loss(z, gamma, gmm, config.lambda1, config.lambda2)
+    est_loss = mx.estimation_loss(z_mix, gamma, gmm, config.lambda1, config.lambda2)
     total = ls.total_generator_loss(image_loss, gen_adv_loss, latent_loss, est_loss, w)
 
     g_params = model.generator_parameters()
@@ -229,7 +244,7 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
 
 def full_dataset_mixture(model: nets.Model, design: np.ndarray, cov_eps: float) -> mx.GmmParams:
     """Deployment mixture: statistics over every training sample at once."""
-    z = nets.encode(model, Tensor(design))
+    z = ad.cast(nets.encode(model, Tensor(design)), np.float64)
     gamma = nets.membership(model, z)
     return mx.estimate_gmm(z, gamma, eps=cov_eps)
 
@@ -271,10 +286,10 @@ def fit(
             f"architecture expects {arch.input_dim} inputs, patches are {bands}x{frames}"
         )
 
-    stats = patches.norm_stats or compute_norm_stats(patches.patches)
-    design = stats.apply(patches.patches).reshape(len(patches), -1)
-
     state = make_train_state(arch, config)
+    stats = patches.norm_stats or compute_norm_stats(patches.patches)
+    # In the networks' dtype once, so that no step converts its batch.
+    design = stats.apply(patches.patches).reshape(len(patches), -1).astype(state.model.encoder.dtype, copy=False)
     rng = np.random.default_rng(config.seed)
     history: list[ls.LossBreakdown] = []
 

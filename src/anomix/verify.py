@@ -14,7 +14,9 @@ maximum observed error:
 * sample energies against a naive determinant-and-inverse evaluation of
   the mixture density (1e-10).
 
-All instances are seeded, so a passing build passes forever.
+Everything runs in float64, the four big networks included, so the
+tolerances measure the maths and not float32 rounding.  All instances
+are seeded, so a passing build passes forever.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ def _op_gradient_cases(rng):
     w2 = Tensor(rng.standard_normal((4, 2)))
     pos = Tensor(rng.uniform(0.5, 2.0, size=(4, 3)))
     stack = Tensor(rng.standard_normal((2, 3, 3)))
+    # Through float32 and back.  A float32 value keeps about 7 digits, so
+    # a step of h = 1e-5 survives the rounding only on small values.
+    small = Tensor(1e-5 * rng.standard_normal((4, 3)))
     return [
         ("op add", lambda: ad.tensor_sum(ad.mul(ad.add(a, b), w)), a),
         ("op sub", lambda: ad.tensor_sum(ad.mul(ad.sub(a, b), w)), b),
@@ -101,6 +106,7 @@ def _op_gradient_cases(rng):
         ("op l2_norm_rows", lambda: ad.tensor_sum(ad.mul(ad.l2_norm_rows(a), s)), a),
         ("op l1_distance", lambda: ad.l1_distance(a, b), a),
         ("op l2_distance", lambda: ad.l2_distance(a, b), a),
+        ("op cast", lambda: ad.tensor_sum(ad.mul(ad.cast(ad.cast(small, np.float32), np.float64), w)), small),
     ]
 
 
@@ -218,7 +224,7 @@ def full_pipeline_gradient_check(seed: int = 0) -> CheckResult:
         input_dim=16, latent_dim=2, n_components=2,
         encoder_widths=(6,), discriminator_widths=(5,), estimator_widths=(4,),
     )
-    model = nets.init_model(arch, seed)
+    model = nets.init_model(arch, seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 999)
     x = Tensor(rng.standard_normal((5, 16)))
     weights = ls.LossWeights()

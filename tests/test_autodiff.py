@@ -46,6 +46,48 @@ class TestElementwise:
             ad.mul(x, x)
 
 
+class TestDtypeRule:
+    def test_float32_kept_everything_else_float64(self):
+        assert ad.Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+        for data in ([1, 2], np.ones(2, dtype=np.float16), np.ones(2, dtype=np.int64), 3.0):
+            assert ad.Tensor(data).data.dtype == np.float64
+
+    def test_python_scalar_takes_partner_dtype(self):
+        x = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32))
+        assert ad.mul(x, 0.1).data.dtype == np.float32
+        assert ad.sub(1.0, x).data.dtype == np.float32
+
+    def test_mixed_op_is_float64_and_each_cotangent_has_its_node_dtype(self):
+        a = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32))
+        b = ad.Tensor(np.array([3.0, 4.0]))
+        y = ad.mul(a, b)
+        assert y.data.dtype == np.float64
+        ga, gb = ad.backward(ad.tensor_sum(y), [a, b])
+        assert ga.dtype == np.float32 and gb.dtype == np.float64
+        np.testing.assert_array_equal(ga, [3.0, 4.0])
+
+    def test_scalar_reductions_accumulate_in_float64(self):
+        # 2**24 + 1 is not a float32 value, so a float32 sum would drop the 1.
+        x = ad.Tensor(np.array([2.0 ** 24, 1.0], dtype=np.float32))
+        assert ad.tensor_sum(x).item() == 2.0 ** 24 + 1.0
+        assert ad.mean(x).data.dtype == np.float64
+        (g,) = ad.backward(ad.mean(x), [x])
+        assert g.dtype == np.float32
+
+    def test_cast(self):
+        x = ad.Tensor(np.array([1.5, -2.0]))
+        assert ad.cast(x, np.float64) is x
+        y = ad.cast(x, np.float32)
+        assert y.data.dtype == np.float32
+        (g,) = ad.backward(ad.tensor_sum(ad.mul(y, 3.0)), [x])
+        assert g.dtype == np.float64
+        np.testing.assert_array_equal(g, [3.0, 3.0])
+
+    def test_cast_out_of_float32_range_raises(self):
+        with pytest.raises(NumericError):
+            ad.cast(ad.Tensor([1e39]), np.float32)
+
+
 class TestMatmul:
     def test_identity(self):
         rng = np.random.default_rng(0)

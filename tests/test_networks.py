@@ -37,8 +37,9 @@ class TestForwardContracts:
         np.testing.assert_array_equal(z.data[0], z.data[1])
 
     def test_single_identity_layer_reproduces_input(self):
+        # A float64 model: a float32 one rounds the input.
         arch = nets.ArchConfig(input_dim=5, latent_dim=5, encoder_widths=())
-        model = nets.init_model(arch, 0)
+        model = nets.init_model(arch, 0, dtype=np.float64)
         model.encoder.weights[0].data[...] = np.eye(5)
         x = np.random.default_rng(0).standard_normal((3, 5))
         np.testing.assert_array_equal(nets.encode(model, Tensor(x)).data, x)
@@ -46,6 +47,18 @@ class TestForwardContracts:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             nets.encode(small_model(), Tensor(np.zeros((2, 35))))
+
+    def test_forward_computes_in_the_network_dtype(self):
+        model = small_model()
+        assert [model.network(name).dtype for name in nets.NETWORK_NAMES] == [np.float32] * 4 + [np.float64]
+        z = nets.encode(model, Tensor(np.ones((2, 36))))
+        assert z.data.dtype == np.float32
+        assert nets.membership(model, z).data.dtype == np.float64
+        model64 = nets.init_model(SMALL, 0, dtype=np.float64)
+        assert all(p.data.dtype == np.float64 for p in model64.all_parameters())
+        # Both dtypes start from the same draws.
+        for p32, p64 in zip(model.all_parameters(), model64.all_parameters()):
+            np.testing.assert_array_equal(p32.data, p64.data.astype(p32.data.dtype))
 
     @pytest.mark.parametrize("arch", [
         SMALL,
@@ -79,7 +92,8 @@ class TestDiscriminator:
         assert np.all(p.data > 0.0) and np.all(p.data < 1.0)
 
     def test_gradient_wrt_input(self):
-        model = small_model(6)
+        # Finite differences at 1e-5 need float64 arithmetic.
+        model = nets.init_model(SMALL, 6, dtype=np.float64)
         x = Tensor(np.random.default_rng(2).standard_normal((3, 36)))
         err = ad.gradient_check(lambda: ad.tensor_sum(nets.discriminate(model, x)), x)
         assert err < 1e-5
@@ -230,6 +244,24 @@ class TestCheckpoint:
         nets.save_checkpoint(p, model)
         with pytest.raises(FormatError, match="decoder.w1"):
             nets.load_checkpoint(p)
+
+    def test_value_beyond_float32_range_is_format_error(self, tmp_path):
+        # Finite as float64, but the loaded model holds the decoder in float32.
+        model = nets.init_model(SMALL, 4, dtype=np.float64)
+        model.decoder.weights[1].data[2, 3] = 1e39
+        p = tmp_path / "big.gmgc"
+        nets.save_checkpoint(p, model)
+        with pytest.raises(FormatError, match="decoder.w1"):
+            nets.load_checkpoint(p)
+
+    def test_loaded_arrays_have_their_network_dtype(self, tmp_path):
+        stats, gmm = self._stats_and_gmm()
+        p = tmp_path / "dtypes.gmgc"
+        nets.save_checkpoint(p, nets.init_model(SMALL, 4, dtype=np.float64), stats, gmm)
+        ckpt = nets.load_checkpoint(p)
+        assert [ckpt.model.network(name).dtype for name in nets.NETWORK_NAMES] == [np.float32] * 4 + [np.float64]
+        assert ckpt.norm_stats.mean.dtype == np.float64
+        assert all(a.dtype == np.float64 for a in ckpt.gmm.as_arrays())
 
     @pytest.mark.parametrize("std", [0.0, -1.0, np.nan])
     def test_norm_std_not_positive_is_format_error(self, tmp_path, std):

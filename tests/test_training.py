@@ -6,6 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from anomix import autodiff as ad
+from anomix import evaluation as ev
 from anomix import networks as nets
 from anomix import training as tr
 from anomix.errors import DataError, InvalidConfigError, InvalidInputError, NumericError
@@ -18,6 +20,10 @@ TINY_ARCH = nets.ArchConfig(
     encoder_widths=(32, 16), discriminator_widths=(16,), estimator_widths=(8,),
 )
 TINY_CONFIG = tr.TrainConfig(epochs=2, batch_size=16, seed=0, checkpoint_every=10)
+# The fit-narrow benchmark workload's arch.
+NARROW_ARCH = nets.ArchConfig(
+    input_dim=256, n_components=8, encoder_widths=(64, 32), discriminator_widths=(32, 16),
+)
 
 
 def tiny_data(seed=0, n=64):
@@ -58,16 +64,24 @@ class TestAdam:
 
     def test_blocked_update_is_bitwise_the_textbook_formula(self):
         # One tensor over two full blocks and a ragged tail, one 1-element tensor.
+        self._check_bitwise_textbook([((2 * tr.ADAM_BLOCK // 64 + 1, 64), np.float64), ((1,), np.float64)])
+
+    def test_mixed_dtype_group_updates_each_in_its_own_dtype(self):
+        # As in a generator group: float32 networks beside the float64 estimator.
+        self._check_bitwise_textbook([((tr.ADAM_BLOCK + 3,), np.float32), ((7, 5), np.float64),
+                                      ((2 * tr.ADAM_BLOCK,), np.float64), ((3,), np.float32)])
+
+    @staticmethod
+    def _check_bitwise_textbook(layout):
         rng = np.random.default_rng(11)
-        shapes = [(2 * tr.ADAM_BLOCK // 64 + 1, 64), (1,)]
-        params = [Tensor(rng.standard_normal(s)) for s in shapes]
+        params = [Tensor(rng.standard_normal(s).astype(dtype)) for s, dtype in layout]
         lr, b1, b2, eps = 1e-3, 0.5, 0.999, 1e-8
         state = tr.AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
         ref_p = [p.data.copy() for p in params]
-        ref_m = [np.zeros(s) for s in shapes]
-        ref_v = [np.zeros(s) for s in shapes]
+        ref_m = [np.zeros(s, dtype) for s, dtype in layout]
+        ref_v = [np.zeros(s, dtype) for s, dtype in layout]
         for t in range(1, 6):
-            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(dtype) for s, dtype in layout]
             for p, g, m, v in zip(ref_p, grads, ref_m, ref_v):
                 m *= b1
                 m += (1.0 - b1) * g
@@ -149,6 +163,56 @@ class TestTrainStep:
         with pytest.raises(InvalidInputError):
             tr.train_step(state, batch[:1], tr.TrainConfig(batch_size=8))
 
+    def test_parameters_moments_and_gradients_after_one_step(self, monkeypatch):
+        # float32 for the four big networks, float64 for the estimator.
+        state, batch = self._state_and_batch()
+        grad_dtypes = {}
+        backward = ad.backward
+
+        def recording_backward(loss, wrt):
+            grads = backward(loss, wrt)
+            grad_dtypes.update((id(t), g.dtype) for t, g in zip(wrt, grads))
+            return grads
+
+        monkeypatch.setattr(ad, "backward", recording_backward)
+        tr.train_step(state, batch, tr.TrainConfig(batch_size=8))
+        model = state.model
+        moments = {}
+        for adam, params in ((state.adam_generator, model.generator_parameters()),
+                             (state.adam_discriminator, model.discriminator_parameters())):
+            moments.update((id(p), (m.dtype, v.dtype)) for p, m, v in zip(params, adam.m, adam.v))
+        for name in nets.NETWORK_NAMES:
+            want = np.float64 if name == "estimator" else np.float32
+            for p in model.network(name).parameters():
+                assert (p.data.dtype, grad_dtypes[id(p)], *moments[id(p)]) == (want,) * 4, name
+
+    def test_no_large_float64_array_in_a_step(self, monkeypatch):
+        # Watches every tensor the step builds and every cotangent passed
+        # to a node, before it is cast to the node's dtype.  The float64
+        # mixture side works on arrays of up to [K x n x d] elements.
+        state, batch = self._state_and_batch()
+        tensors, cotangents = [], []
+        init, accum = ad.Tensor.__init__, ad.Tensor._accum_cot
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            tensors.append((self._op, self.data.dtype, self.data.size, {p.data.dtype for p in self._parents}))
+
+        def recording_accum(self, g):
+            cotangents.append((self._op, g.dtype, np.size(g)))
+            accum(self, g)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
+        monkeypatch.setattr(ad.Tensor, "_accum_cot", recording_accum)
+        tr.train_step(state, batch, tr.TrainConfig(batch_size=8))
+        limit = len(batch) * TINY_ARCH.n_components * TINY_ARCH.latent_dim
+        assert [t[:3] for t in tensors if t[1] == np.float64 and t[2] > limit] == []
+        assert [c for c in cotangents if c[1] == np.float64 and c[2] > limit] == []
+        # The latent is cast once, and the mixture ops see only float64.
+        assert [t[0] for t in tensors].count("cast") == 1
+        mixture_ops = ("mixture_means", "mixture_covariances", "gaussian_log_densities")
+        assert all(t[3] == {np.dtype(np.float64)} for t in tensors if t[0] in mixture_ops)
+
     @pytest.mark.slow
     def test_loss_decreases_on_synthetic_data(self):
         # Median generator total over steps 90-100 must drop below the
@@ -196,6 +260,17 @@ class TestFit:
         tr.fit(cfg, TINY_ARCH, data, checkpoint_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["latent", "energy"])
+    def test_reloaded_checkpoint_scores_bit_equal(self, tmp_path, mode):
+        path = tmp_path / "model.gmgc"
+        result = tr.fit(TINY_CONFIG, TINY_ARCH, tiny_data(), checkpoint_path=path)
+        ckpt = nets.load_checkpoint(path)
+        test = gen_synthetic_dataset(1, 8, 8, shape=(16, 16))
+        scores = [ev.score_patchset(m, test, stats, mode=mode, gmm=gmm, group_by_clip=False)
+                  for m, stats, gmm in ((result.model, result.norm_stats, result.gmm),
+                                        (ckpt.model, ckpt.norm_stats, ckpt.gmm))]
+        assert [s.score for s in scores[0]] == [s.score for s in scores[1]]
+
     def test_rejects_anomalous_training_data(self):
         data = gen_synthetic_dataset(0, 30, 5, shape=(16, 16))
         assert np.any(data.labels == LABEL_ANOMALOUS)
@@ -229,6 +304,24 @@ class TestFit:
         result.gmm.validate()
         alpha, _, _ = result.gmm.as_arrays()
         assert abs(alpha.sum() - 1.0) < 1e-9
+
+
+def test_training_beats_untrained_model():
+    # The detection gate: an untrained model (random weights plus the
+    # full-dataset mixture) already separates these patches, so a change
+    # that stops training from helping must show as a smaller AUC gain.
+    # Train on 256 normal patches, score 128 held-out normal and 128
+    # anomalous ones patch by patch.
+    aucs = {0: [], 3: []}
+    for seed in range(5):
+        data = gen_synthetic_dataset(seed, 384, 128, shape=(16, 16), shift=4.0)
+        train = PatchSet(patches=data.patches[:256], labels=data.labels[:256])
+        test = PatchSet(patches=data.patches[256:], labels=data.labels[256:])
+        for epochs in aucs:
+            result = tr.fit(tr.TrainConfig(epochs=epochs, batch_size=32, seed=seed), NARROW_ARCH, train)
+            scores = ev.score_patchset(result.model, test, result.norm_stats, group_by_clip=False)
+            aucs[epochs].append(ev.auc(scores).auc)
+    assert np.mean(aucs[3]) >= np.mean(aucs[0]) + 0.05, aucs
 
 
 class TestConfigValidation:
