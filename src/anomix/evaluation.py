@@ -48,7 +48,8 @@ def _design(model: nets.Model, patchset: PatchSet, norm_stats) -> np.ndarray:
     stats = norm_stats or patchset.norm_stats
     if stats is None:
         raise InvalidInputError("no normalization statistics available for scoring")
-    flat = stats.apply(patchset.patches).reshape(len(patchset), -1)
+    # In the networks' dtype, so that scoring converts nothing.
+    flat = stats.apply(patchset.patches, model.encoder.dtype).reshape(len(patchset), -1)
     if flat.shape[1] != model.arch.input_dim:
         raise InvalidInputError(
             f"model expects {model.arch.input_dim} features per patch, got {flat.shape[1]}"

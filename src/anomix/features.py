@@ -25,6 +25,7 @@ Patch container ("GMGP" file), all integers little-endian:
 
 from __future__ import annotations
 
+import functools
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -67,6 +68,11 @@ class AudioClip:
             raise InvalidInputError("sample rate must be positive")
 
 
+# Float64 elements in NormStats.apply's scratch block: 512 KiB, or 16
+# patches of 64 x 64, so a block stays in cache between its two passes.
+NORM_BLOCK = 65536
+
+
 @dataclass
 class NormStats:
     """Per-band z-score statistics, computed on the training set."""
@@ -74,8 +80,35 @@ class NormStats:
     mean: np.ndarray          # [bands]
     std: np.ndarray           # [bands]
 
-    def apply(self, patches: np.ndarray) -> np.ndarray:
-        return (patches - self.mean[:, None]) / self.std[:, None]
+    def apply(self, patches: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """``(patches - mean) / std`` per band, computed in float64 and
+        stored as ``dtype``.
+
+        ``patches`` is one [bands x frames] patch or a stack
+        [..., bands, frames].  The patches are walked in blocks through a
+        float64 scratch of at most ``NORM_BLOCK`` elements (one patch if
+        a patch is larger), and each block is copied into the output as
+        ``dtype``, so asking for float32 builds no full-size float64
+        array.  The result is bitwise
+        ``apply(patches).astype(dtype)``.  A value beyond ``dtype``'s
+        range becomes inf, which the ``Tensor`` check on the networks'
+        input reports.
+        """
+        patches = np.asarray(patches)
+        out = np.empty(patches.shape, dtype)
+        rows = patches.reshape(-1, *patches.shape[-2:])
+        out_rows = out.reshape(rows.shape)
+        mean, std = self.mean[:, None], self.std[:, None]
+        step = max(1, NORM_BLOCK // max(1, rows.shape[1] * rows.shape[2]))
+        scratch = np.empty((min(step, len(rows)), *rows.shape[1:]))
+        with np.errstate(over="ignore"):
+            for start in range(0, len(rows), step):
+                block = rows[start:start + step]
+                z = scratch[:len(block)]
+                np.subtract(block, mean, out=z)
+                z /= std
+                out_rows[start:start + step] = z
+        return out
 
 
 @dataclass
@@ -179,8 +212,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(sample_rate_hz: int, window_len: int, mel_bands: int) -> np.ndarray:
-    """Triangular filters [mel_bands x bins] spanning 0 Hz to Nyquist."""
+    """Triangular filters [mel_bands x bins] spanning 0 Hz to Nyquist.
+
+    Memoized per argument triple, since every clip of a corpus uses the
+    same bank: repeated calls return the same read-only array.
+    """
     bins = window_len // 2 + 1
     if mel_bands < 2:
         raise InvalidConfigError("need at least 2 mel bands")
@@ -198,6 +236,7 @@ def mel_filterbank(sample_rate_hz: int, window_len: int, mel_bands: int) -> np.n
         raise InvalidConfigError(
             "mel filterbank has empty bands; reduce mel_bands or enlarge the window"
         )
+    bank.flags.writeable = False
     return bank
 
 

@@ -15,6 +15,14 @@ Adam moments.  The latent is cast to float64 once, where it enters the
 estimator and the mixture statistics, and every loss is a float64
 scalar (see ``autodiff``).
 
+Each update clips its group's gradients to a joint norm and takes one
+Adam step, in one pass over cache-sized blocks: ``clip_global_norm``
+only computes the factor, blockwise, and ``adam_update`` applies it as
+the first op of each block, so neither builds a full-size temporary or
+makes a pass of its own over the gradients.  The result is bitwise that
+of scaling whole gradient arrays and then running textbook Adam on
+whole arrays (Kingma & Ba, arXiv 1412.6980).
+
 Everything is deterministic in (seed, config, data): initialization,
 shuffling, and updates derive from one seeded generator, so two runs
 with the same inputs produce byte-identical checkpoints.
@@ -23,8 +31,10 @@ with the same inputs produce byte-identical checkpoints.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,9 +88,45 @@ class TrainConfig:
             raise InvalidConfigError("checkpoint_every must be >= 1")
 
 
+# Elements per block of the Adam update and per leaf of the gradient
+# norm: the block of each of the five arrays an update touches
+# (parameter, gradient, two moments, scratch) stays in L2 cache between
+# its dozen elementwise passes.
+ADAM_BLOCK = 32768
+
+
+class _AdamBlock(NamedTuple):
+    """One block of an ``AdamState`` plan.
+
+    ``members`` is ``((i, part),)`` for a part of parameter i updated in
+    place, with ``p_pack`` and ``g_pack`` None; or ``((i, value slot,
+    gradient slot), ...)`` for a packed block, whose slots are views of
+    ``p_pack`` and ``g_pack`` shaped like parameter i.
+    """
+
+    members: tuple
+    m: np.ndarray
+    v: np.ndarray
+    tmp: np.ndarray
+    p_pack: np.ndarray | None
+    g_pack: np.ndarray | None
+
+
 class AdamState:
-    """First/second moment buffers plus the shared step counter for one
-    parameter group; each moment has its parameter's dtype."""
+    """First/second moment buffers, the shared step counter and the
+    block plan for one parameter group.
+
+    The moments of all parameters of one dtype live in one flat buffer
+    of that dtype, in parameter order; ``m[i]`` and ``v[i]`` are views
+    of it shaped like parameter i.  The plan (see ``_cut_blocks``) cuts
+    each dtype's parameters into blocks of at most ``ADAM_BLOCK``
+    elements.  A block of one parameter is updated in place.  A packed
+    block of several small parameters has its values and gradients
+    gathered into this state's scratch buffers, is updated there, and
+    has its values scattered back, so a group of many small arrays costs
+    a few numpy calls per block, not a dozen per array.  The parameter
+    arrays themselves are never rebound or copied into other storage.
+    """
 
     def __init__(self, params, lr: float, beta1: float, beta2: float, eps: float):
         self.lr = lr
@@ -88,78 +134,150 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m: list[np.ndarray] = [None] * len(params)
+        self.v: list[np.ndarray] = [None] * len(params)
+        self.plan: list[_AdamBlock] = []
+        by_dtype: dict[np.dtype, list[int]] = {}
+        for i, p in enumerate(params):
+            by_dtype.setdefault(p.data.dtype, []).append(i)
+        for dtype, indices in by_dtype.items():
+            arrays = [params[i].data for i in indices]
+            starts = [0, *itertools.accumulate(a.size for a in arrays)]
+            m_flat = np.zeros(starts[-1], dtype)
+            v_flat = np.zeros_like(m_flat)
+            for i, a, start in zip(indices, arrays, starts):
+                self.m[i] = m_flat[start:start + a.size].reshape(a.shape)
+                self.v[i] = v_flat[start:start + a.size].reshape(a.shape)
+            tmp, p_buf, g_buf = (np.empty(min(ADAM_BLOCK, m_flat.size), dtype) for _ in range(3))
+            for block in _cut_blocks([a.size for a in arrays]):
+                (first, lo, _), (last, _, hi) = block[0], block[-1]
+                span = slice(starts[first] + lo, starts[last] + hi)
+                size = span.stop - span.start
+                if len(block) == 1:
+                    members, p_pack, g_pack = ((indices[first], slice(lo, hi)),), None, None
+                else:
+                    members = []
+                    for j, _, _ in block:
+                        s, e, shape = starts[j] - span.start, starts[j + 1] - span.start, arrays[j].shape
+                        members.append((indices[j], p_buf[s:e].reshape(shape), g_buf[s:e].reshape(shape)))
+                    members = tuple(members)
+                    p_pack, g_pack = p_buf[:size], g_buf[:size]
+                self.plan.append(_AdamBlock(members, m_flat[span], v_flat[span], tmp[:size], p_pack, g_pack))
 
 
-def clip_global_norm(grads, max_norm: float) -> None:
-    """Scale the whole gradient group so its joint norm is <= max_norm.
+def _cut_blocks(sizes) -> list[list[tuple[int, int, int]]]:
+    """Blocks of at most ``ADAM_BLOCK`` elements over arrays of the given
+    sizes, laid end to end: each block is a list of (array, first, stop)
+    parts.  An array of at least ``ADAM_BLOCK`` elements is cut into
+    blocks of its own; runs of smaller arrays share blocks, whole."""
+    blocks: list[list[tuple[int, int, int]]] = []
+    pack: list[tuple[int, int, int]] = []
+    packed = 0
+    for j, n in enumerate(sizes):
+        if pack and (n >= ADAM_BLOCK or packed + n > ADAM_BLOCK):
+            blocks.append(pack)
+            pack, packed = [], 0
+        if n >= ADAM_BLOCK:
+            blocks.extend([(j, first, min(first + ADAM_BLOCK, n))] for first in range(0, n, ADAM_BLOCK))
+        else:
+            pack.append((j, 0, n))
+            packed += n
+    if pack:
+        blocks.append(pack)
+    return blocks
 
-    The norm is a per-array pairwise ``(g * g).sum()``, in each array's
-    own dtype, added up as Python floats: clipping fires on most steps,
-    so another summation order would change the scale's last bits and
-    with them every checkpoint.
+
+def _sum_of_squares(flat: np.ndarray):
+    """``(flat * flat).sum()``, bit for bit, with no full-size temporary.
+
+    numpy sums a contiguous array pairwise, splitting n elements at
+    ``n // 2 - (n // 2) % 8`` and adding the halves in the array's dtype.
+    Taking the same splits down to leaves of at most ``ADAM_BLOCK``
+    elements and squaring one leaf at a time gives the same result.
     """
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    n = flat.size
+    if n <= ADAM_BLOCK:
+        return (flat * flat).sum()
+    half = n // 2
+    half -= half % 8
+    return _sum_of_squares(flat[:half]) + _sum_of_squares(flat[half:])
+
+
+def clip_global_norm(grads, max_norm: float) -> np.float64 | None:
+    """The factor that scales the gradient group to joint norm
+    ``max_norm``, or None when its norm is already at most ``max_norm``.
+
+    The gradients are left as they are: ``adam_update`` applies the
+    factor as the first op of each of its blocks.  The norm is each
+    array's pairwise sum of squares (see ``_sum_of_squares``) in its own
+    dtype, added up as Python floats, and the factor is the
+    ``np.float64`` quotient ``max_norm / norm``.  Clipping fires on most
+    steps, so another summation order, or a factor of another type
+    (under numpy's promotion rules a Python float or a float32 scales a
+    float32 gradient in float32, not in float64), would change the
+    scaled gradients' last bits and with them every checkpoint.
+    """
+    total = np.sqrt(sum(float(_sum_of_squares(g.reshape(-1))) for g in grads))
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
+        return max_norm / total
+    return None
 
 
-# Elements per block of the Adam update: the block of each of the five
-# arrays it touches (parameter, gradient, two moments, scratch) stays in
-# L2 cache between its dozen elementwise passes.
-ADAM_BLOCK = 32768
+def adam_update(params, grads, state: AdamState, scale: np.float64 | None = None) -> None:
+    """Standard bias-corrected Adam step, in place, of the gradients
+    times ``scale`` (the factor from ``clip_global_norm``; None leaves
+    them unscaled).
 
-
-def adam_update(params, grads, state: AdamState) -> None:
-    """Standard bias-corrected Adam step, in place; overwrites ``grads``.
-
-    Each parameter is walked in blocks of ``ADAM_BLOCK`` elements, and
-    every block runs the textbook formula's elementwise operations in
-    the textbook order, so the result is bitwise that of whole-array
-    updates.  Each parameter is updated in its own dtype, with a scratch
-    buffer of that dtype, and its gradient must have that dtype too.
-    The consumed gradient block is reused as a buffer, so the gradient
-    arrays hold scratch values afterwards.
+    ``params`` must be the group ``state`` was built for, in the same
+    order.  Each block of the state's plan (see ``AdamState``) runs
+    ``g *= scale`` and then the textbook formula's elementwise
+    operations in the textbook order, so the result is bitwise that of
+    scaling every gradient array and then updating whole arrays.  Each
+    parameter is updated in its own dtype, and its gradient must have
+    that dtype too.  Gradient blocks walked in place are reused as
+    buffers, so the gradient arrays hold scratch values afterwards.
+    Only parameter values are written; every ``p.data`` stays the same
+    array object.
     """
     state.step_count += 1
     t = state.step_count
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
-    sizes: dict[np.dtype, int] = {}
-    for p in params:
-        sizes[p.data.dtype] = max(sizes.get(p.data.dtype, 0), min(ADAM_BLOCK, p.data.size))
-    scratch = {dtype: np.empty(size, dtype) for dtype, size in sizes.items()}
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        p_flat = p.data.reshape(-1, copy=False)
-        g_flat = g.reshape(-1)
-        m_flat, v_flat = m.reshape(-1, copy=False), v.reshape(-1, copy=False)
-        for start in range(0, p_flat.size, ADAM_BLOCK):
-            block = slice(start, start + ADAM_BLOCK)
-            pb, gb, mb, vb = p_flat[block], g_flat[block], m_flat[block], v_flat[block]
-            tmp = scratch[pb.dtype][:pb.size]
-            # m = b1 m + (1 - b1) g
-            np.multiply(gb, 1.0 - b1, out=tmp)
-            mb *= b1
-            mb += tmp
-            # v = b2 v + (1 - b2) g g
-            np.multiply(gb, 1.0 - b2, out=tmp)
-            tmp *= gb
-            vb *= b2
-            vb += tmp
-            # p -= lr (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(vb, correction2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += eps
-            np.divide(mb, correction1, out=gb)
-            gb *= lr
-            gb /= tmp
-            pb -= gb
-            if not np.all(np.isfinite(pb)):
-                raise NumericError("non-finite parameter after optimizer step")
+    for members, mb, vb, tmp, p_pack, g_pack in state.plan:
+        if p_pack is None:
+            ((i, part),) = members
+            pb = params[i].data.reshape(-1, copy=False)[part]
+            gb = grads[i].reshape(-1)[part]
+        else:
+            pb, gb = p_pack, g_pack
+            for i, p_slot, g_slot in members:
+                np.copyto(p_slot, params[i].data)
+                np.copyto(g_slot, grads[i])
+        if scale is not None:
+            gb *= scale
+        # m = b1 m + (1 - b1) g
+        np.multiply(gb, 1.0 - b1, out=tmp)
+        mb *= b1
+        mb += tmp
+        # v = b2 v + (1 - b2) g g
+        np.multiply(gb, 1.0 - b2, out=tmp)
+        tmp *= gb
+        vb *= b2
+        vb += tmp
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(vb, correction2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(mb, correction1, out=gb)
+        gb *= lr
+        gb /= tmp
+        pb -= gb
+        if not np.all(np.isfinite(pb)):
+            raise NumericError("non-finite parameter after optimizer step")
+        if p_pack is not None:
+            for i, p_slot, _ in members:
+                np.copyto(params[i].data, p_slot)
 
 
 @dataclass
@@ -209,8 +327,7 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     if w.w_adversarial > 0.0:
         d_params = model.discriminator_parameters()
         grads = ad.backward(disc_loss, d_params)
-        clip_global_norm(grads, config.grad_clip)
-        adam_update(d_params, grads, state.adam_discriminator)
+        adam_update(d_params, grads, state.adam_discriminator, clip_global_norm(grads, config.grad_clip))
 
     # Generator side: reconstruction, latent round-trip, memberships,
     # batch mixture statistics, energies.  The discriminator is evaluated
@@ -228,8 +345,7 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
 
     g_params = model.generator_parameters()
     grads = ad.backward(total, g_params)
-    clip_global_norm(grads, config.grad_clip)
-    adam_update(g_params, grads, state.adam_generator)
+    adam_update(g_params, grads, state.adam_generator, clip_global_norm(grads, config.grad_clip))
 
     state.step += 1
     return ls.LossBreakdown(
@@ -289,7 +405,7 @@ def fit(
     state = make_train_state(arch, config)
     stats = patches.norm_stats or compute_norm_stats(patches.patches)
     # In the networks' dtype once, so that no step converts its batch.
-    design = stats.apply(patches.patches).reshape(len(patches), -1).astype(state.model.encoder.dtype, copy=False)
+    design = stats.apply(patches.patches, state.model.encoder.dtype).reshape(len(patches), -1)
     rng = np.random.default_rng(config.seed)
     history: list[ls.LossBreakdown] = []
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from anomix import evaluation as ev
+from anomix import mixture as mx
 from anomix import networks as nets
-from anomix.errors import InvalidInputError
+from anomix.errors import InvalidInputError, NumericError
 from anomix.features import (
     LABEL_ANOMALOUS,
     LABEL_NORMAL,
@@ -145,6 +146,16 @@ class TestScoring:
         model, data, stats = self._model_and_data()
         with pytest.raises(InvalidInputError):
             ev.score_patchset(model, data, stats, mode="energy")
+
+    @pytest.mark.parametrize("mode", ["latent", "energy"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300])
+    def test_non_finite_patch_value_raises(self, mode, value):
+        # 1e300 is finite in float64 but beyond float32, the networks' dtype.
+        model, data, stats = self._model_and_data()
+        data.patches[3, 2, 5] = value
+        gmm = mx.GmmParams.from_arrays(np.full(2, 0.5), np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
+        with pytest.raises(NumericError):
+            ev.score_patchset(model, data, stats, mode=mode, gmm=gmm)
 
     def test_scoring_is_read_only(self):
         model, data, stats = self._model_and_data()

@@ -1,6 +1,7 @@
 """WAV decoding, spectrogram pipeline, synthetic data, patch container."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,17 @@ class TestMelProject:
         with pytest.raises(InvalidConfigError, match="empty bands"):
             ft.mel_filterbank(16000, 64, 16)
 
+    def test_filterbank_is_memoized_read_only(self):
+        bank = ft.mel_filterbank(8000, 512, 24)
+        assert ft.mel_filterbank(8000, 512, 24) is bank
+        assert not bank.flags.writeable
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
+        rng = np.random.default_rng(6)
+        mag = rng.uniform(0, 2, size=(257, 9))
+        want = ft.mel_filterbank.__wrapped__(8000, 512, 24) @ mag
+        assert ft.mel_project(mag, 8000, 24).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("sample_rate_hz, window_len, mel_bands", [
         (16000, 1024, 64), (16000, 1024, 16), (8000, 256, 16), (16000, 512, 40),
         (22050, 2048, 128), (44100, 4096, 64), (16000, 64, 2),
@@ -270,6 +282,37 @@ class TestNormalization:
         stats = ft.compute_norm_stats(patches)
         per_patch = np.stack([stats.apply(p) for p in patches])
         assert stats.apply(patches).tobytes() == per_patch.tobytes()
+
+    # 16 x 16 patches: a block is 256 patches, so 600 rows end in a partial one.
+    @pytest.mark.parametrize("shape", [(600, 16, 16), (256, 16, 16), (3, 16, 16), (16, 16), (2, 5, 300, 301)])
+    def test_apply_into_float32_is_the_float64_result_cast(self, shape):
+        rng = np.random.default_rng(11)
+        patches = rng.uniform(-3, 5, size=shape)
+        stats = ft.NormStats(mean=rng.uniform(-1, 1, shape[-2]), std=rng.uniform(0.1, 3, shape[-2]))
+        want = stats.apply(patches)
+        assert want.dtype == np.float64 and want.shape == patches.shape
+        assert want.tobytes() == ((patches - stats.mean[:, None]) / stats.std[:, None]).tobytes()
+        got = stats.apply(patches, np.float32)
+        assert got.dtype == np.float32 and got.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_value_beyond_float32_range_becomes_inf(self):
+        stats = ft.NormStats(mean=np.zeros(2), std=np.ones(2))
+        got = stats.apply(np.array([[1e300, 1.0], [2.0, -1e300]]), np.float32)
+        np.testing.assert_array_equal(got, [[np.inf, 1.0], [2.0, -np.inf]])
+
+    def test_apply_allocates_its_output_and_one_block(self):
+        rng = np.random.default_rng(12)
+        patches = rng.uniform(-3, 5, size=(64, 64, 64))
+        stats = ft.compute_norm_stats(patches)
+        tracemalloc.start()
+        try:
+            out = stats.apply(patches, np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Slack for numpy's casting buffer and small objects; a full-size
+        # float64 temporary would be 2 MiB.
+        assert peak <= out.nbytes + ft.NORM_BLOCK * 8 + 128 * 1024, peak
 
 
 class TestSyntheticDataset:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from anomix import evaluation as ev
 from anomix import networks as nets
 from anomix import training as tr
 from anomix.errors import DataError, InvalidConfigError, InvalidInputError, NumericError
-from anomix.features import LABEL_ANOMALOUS, PatchSet, gen_synthetic_dataset
+from anomix.features import LABEL_ANOMALOUS, NormStats, PatchSet, gen_synthetic_dataset
 from anomix.losses import LossWeights
 from anomix.autodiff import Tensor
 
@@ -24,6 +25,29 @@ TINY_CONFIG = tr.TrainConfig(epochs=2, batch_size=16, seed=0, checkpoint_every=1
 NARROW_ARCH = nets.ArchConfig(
     input_dim=256, n_components=8, encoder_widths=(64, 32), discriminator_widths=(32, 16),
 )
+
+
+def oracle_clip(grads, max_norm):
+    """Scales each gradient array in place to joint norm max_norm;
+    whether it fired."""
+    total = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    if total > max_norm:
+        for g in grads:
+            g *= max_norm / total
+    return bool(total > max_norm)
+
+
+def oracle_adam(params, grads, state, scale=None):
+    """Whole-array textbook Adam on already clipped gradients."""
+    assert scale is None
+    state.step_count += 1
+    t, b1, b2 = state.step_count, state.beta1, state.beta2
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p.data -= state.lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + state.eps)
 
 
 def tiny_data(seed=0, n=64):
@@ -71,28 +95,92 @@ class TestAdam:
         self._check_bitwise_textbook([((tr.ADAM_BLOCK + 3,), np.float32), ((7, 5), np.float64),
                                       ((2 * tr.ADAM_BLOCK,), np.float64), ((3,), np.float32)])
 
+    def test_many_small_parameters_span_several_packs(self):
+        # Sizes from 1 to just under a block, 2-D and 1-D, about five packs' worth.
+        rng = np.random.default_rng(3)
+        layout = [((int(n),), np.float32) for n in rng.integers(1, tr.ADAM_BLOCK // 6, 30)]
+        layout += [((3, 17), np.float32), ((tr.ADAM_BLOCK - 1,), np.float32), ((1,), np.float32)]
+        state = self._check_bitwise_textbook(layout)
+        assert sum(len(members) > 1 for members, *_ in state.plan) >= 3
+
+    def test_large_parameter_between_small_ones(self):
+        self._check_bitwise_textbook([((5, 7), np.float32), ((11,), np.float32),
+                                      ((tr.ADAM_BLOCK // 8 + 1, 16), np.float32),
+                                      ((13,), np.float32), ((tr.ADAM_BLOCK,), np.float32), ((2, 3), np.float32)])
+
+    def test_interleaved_dtypes_pack_per_dtype(self):
+        self._check_bitwise_textbook([((40, 9), np.float32), ((9,), np.float64), ((9, 4), np.float64),
+                                      ((4,), np.float32), ((tr.ADAM_BLOCK + 9,), np.float64),
+                                      ((700,), np.float32), ((1,), np.float64)])
+
     @staticmethod
     def _check_bitwise_textbook(layout):
-        rng = np.random.default_rng(11)
-        params = [Tensor(rng.standard_normal(s).astype(dtype)) for s, dtype in layout]
-        lr, b1, b2, eps = 1e-3, 0.5, 0.999, 1e-8
-        state = tr.AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-        ref_p = [p.data.copy() for p in params]
-        ref_m = [np.zeros(s, dtype) for s, dtype in layout]
-        ref_v = [np.zeros(s, dtype) for s, dtype in layout]
-        for t in range(1, 6):
-            grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(dtype) for s, dtype in layout]
-            for p, g, m, v in zip(ref_p, grads, ref_m, ref_v):
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
-                p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
-            tr.adam_update(params, [g.copy() for g in grads], state)
-            for got, want in zip(params, ref_p):
-                assert got.data.tobytes() == want.tobytes()
-            for got, want in zip(state.m + state.v, ref_m + ref_v):
-                assert got.tobytes() == want.tobytes()
+        """Five steps of the production clip and Adam against whole-array
+        textbook updates, once with the clip firing on every step and once
+        with it never firing."""
+        for max_norm in (1e-9, 1e12):
+            rng = np.random.default_rng(11)
+            params = [Tensor(rng.standard_normal(s).astype(dtype)) for s, dtype in layout]
+            lr, b1, b2, eps = 1e-3, 0.5, 0.999, 1e-8
+            state = tr.AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            ref_p = [p.data.copy() for p in params]
+            ref_m = [np.zeros(s, dtype) for s, dtype in layout]
+            ref_v = [np.zeros(s, dtype) for s, dtype in layout]
+            for t in range(1, 6):
+                grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+                         for s, dtype in layout]
+                scale = tr.clip_global_norm(grads, max_norm)
+                ref_grads = [g.copy() for g in grads]
+                oracle_clip(ref_grads, max_norm)
+                assert (scale is None) == (max_norm > 1.0)
+                for p, g, m, v in zip(ref_p, ref_grads, ref_m, ref_v):
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * g * g
+                    p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+                tr.adam_update(params, grads, state, scale)
+                for got, want in zip(params, ref_p):
+                    assert got.data.tobytes() == want.tobytes()
+                for got, want in zip(state.m + state.v, ref_m + ref_v):
+                    assert got.tobytes() == want.tobytes()
+        return state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_norm_is_bitwise_the_whole_array_sum(self, dtype):
+        rng = np.random.default_rng(12)
+        sizes = [*range(1, 20), *range(120, 137)]
+        for edge in (tr.ADAM_BLOCK, 2 * tr.ADAM_BLOCK, 5 * tr.ADAM_BLOCK):
+            sizes += [edge + d for d in (-9, -8, -7, -1, 0, 1, 7, 8, 9, 16, 17)]
+        for n in sizes:
+            g = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+            assert float(tr._sum_of_squares(g)) == float((g * g).sum()), n
+
+    def test_update_keeps_every_parameter_array(self):
+        rng = np.random.default_rng(13)
+        shapes = [(tr.ADAM_BLOCK + 5,), (3, 4), (6,), (tr.ADAM_BLOCK // 2 + 1,)]
+        params = [Tensor(rng.standard_normal(s).astype(np.float32)) for s in shapes]
+        arrays = [p.data for p in params]
+        state = tr.AdamState(params, lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8)
+        for _ in range(3):
+            grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+            tr.adam_update(params, grads, state, tr.clip_global_norm(grads, 1.0))
+        assert all(p.data is a for p, a in zip(params, arrays))
+
+    def test_clip_and_update_allocate_no_full_size_temporary(self):
+        # A 4-block parameter: a full-size float64 temporary would be 1 MiB.
+        rng = np.random.default_rng(14)
+        shapes = [(4 * tr.ADAM_BLOCK,), (100,), (7, 9)]
+        params = [Tensor(rng.standard_normal(s)) for s in shapes]
+        state = tr.AdamState(params, lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8)
+        grads = [rng.standard_normal(s) for s in shapes]
+        tracemalloc.start()
+        try:
+            tr.adam_update(params, grads, state, tr.clip_global_norm(grads, 1e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * tr.ADAM_BLOCK * 8, peak
 
     def test_non_finite_parameter_in_last_block_raises(self):
         n = 2 * tr.ADAM_BLOCK + 5
@@ -104,11 +192,17 @@ class TestAdam:
             tr.adam_update([p], [g], state)
 
     def test_global_norm_clipping(self):
+        # The joint norm is 5: the factor scales it to 1 and leaves the
+        # gradients as they are; within max_norm there is no factor.
         grads = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
-        tr.clip_global_norm(grads, 1.0)
-        total = np.sqrt(sum((g * g).sum() for g in grads))
-        assert total == pytest.approx(1.0)
-        np.testing.assert_allclose(grads[0], [0.6, 0.0])
+        scale = tr.clip_global_norm(grads, 1.0)
+        assert type(scale) is np.float64 and scale == np.float64(1.0) / np.float64(5.0)
+        np.testing.assert_array_equal(grads[0], [3.0, 0.0])
+        np.testing.assert_array_equal(grads[1], [0.0, 4.0])
+        scaled = [g * scale for g in grads]
+        assert np.sqrt(sum((g * g).sum() for g in scaled)) == pytest.approx(1.0)
+        np.testing.assert_allclose(scaled[0], [0.6, 0.0])
+        assert tr.clip_global_norm(grads, 5.0) is None
 
 
 class TestTrainStep:
@@ -213,6 +307,27 @@ class TestTrainStep:
         mixture_ops = ("mixture_means", "mixture_covariances", "gaussian_log_densities")
         assert all(t[3] == {np.dtype(np.float64)} for t in tensors if t[0] in mixture_ops)
 
+    def test_two_steps_equal_the_whole_array_oracle(self, monkeypatch):
+        # The oracle clip scales every gradient array in place; the oracle
+        # Adam then updates whole arrays by the textbook formula.
+        states = []
+        fired = []
+        for use_oracle in (False, True):
+            state, batch = self._state_and_batch(5)
+            with monkeypatch.context() as patch:
+                if use_oracle:
+                    patch.setattr(tr, "clip_global_norm", lambda g, n: fired.append(oracle_clip(g, n)))
+                    patch.setattr(tr, "adam_update", oracle_adam)
+                for _ in range(2):
+                    tr.train_step(state, batch, tr.TrainConfig(batch_size=8))
+            states.append(state)
+        # discriminator, generator per step: the clip fires on the generator
+        assert fired == [False, True, False, True]
+        assert param_digest(states[0].model.all_parameters()) == param_digest(states[1].model.all_parameters())
+        for group in ("adam_generator", "adam_discriminator"):
+            got, want = getattr(states[0], group), getattr(states[1], group)
+            assert [a.tobytes() for a in got.m + got.v] == [a.tobytes() for a in want.m + want.v]
+
     @pytest.mark.slow
     def test_loss_decreases_on_synthetic_data(self):
         # Median generator total over steps 90-100 must drop below the
@@ -270,6 +385,19 @@ class TestFit:
                   for m, stats, gmm in ((result.model, result.norm_stats, result.gmm),
                                         (ckpt.model, ckpt.norm_stats, ckpt.gmm))]
         assert [s.score for s in scores[0]] == [s.score for s in scores[1]]
+
+    def test_fit_and_scoring_normalize_into_the_networks_dtype(self, monkeypatch):
+        dtypes = []
+        apply = NormStats.apply
+
+        def recording_apply(self, patches, dtype=np.float64):
+            dtypes.append(dtype)
+            return apply(self, patches, dtype)
+
+        monkeypatch.setattr(NormStats, "apply", recording_apply)
+        result = tr.fit(tr.TrainConfig(epochs=0, batch_size=16), TINY_ARCH, tiny_data())
+        ev.score_patchset(result.model, tiny_data(1, 8), result.norm_stats)
+        assert dtypes == [np.float32, np.float32]
 
     def test_rejects_anomalous_training_data(self):
         data = gen_synthetic_dataset(0, 30, 5, shape=(16, 16))
