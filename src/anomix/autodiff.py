@@ -24,20 +24,27 @@ handed out, so the arrays it returns never alias each other.
 
 One dtype rule covers every op.  A ``Tensor`` keeps float32 input as
 float32 and stores everything else as float64.  A Python scalar operand
-takes its partner operand's dtype, so scaling a float32 tensor keeps it
-float32.  An op on two tensors of different dtypes computes in float64
-(numpy's promotion), and a node's cotangent is always cast to that
-node's dtype, so the float32 side of such an op still gets a float32
-gradient.  ``cast`` converts explicitly and is differentiable.  The
+is a constant, not a node: it becomes a 0-d array of its partner
+operand's dtype, so scaling a float32 tensor keeps it float32, and it
+must be finite in that dtype.  An op on two tensors of different dtypes
+computes in float64 (numpy's promotion), and a node's cotangent is
+always cast to that node's dtype, so the float32 side of such an op
+still gets a float32 gradient.  ``cast`` converts explicitly and is differentiable.  The
 scalar reductions ``mean`` and ``tensor_sum`` accumulate in float64,
 so every loss is a float64 scalar.
 
 Shape discipline is strict: binary elementwise ops require equal shapes,
 the only implicit broadcast is scalar-with-tensor.  Everything else is a
-named structured op (``add_rowvec``, ``diag_part``, ...) whose shape
-contract is part of its signature.  Every forward result is checked for
-NaN/Inf and raises NumericError immediately, so a diverging computation
-fails at the op that produced it rather than at the loss.
+named structured op (``add_rowvec``, ``dense``, ``diag_part``, ...) whose
+shape contract is part of its signature.  Every forward result is
+checked for NaN/Inf and raises NumericError immediately, so a diverging
+computation fails at the op that produced it rather than at the loss.
+
+A network layer is one node: ``dense`` computes act(x @ w + b) in the
+product's own buffer, where a chain of matmul, bias and activation
+nodes would pay Python's per-node cost three times (operator fusion, as
+in TVM, Chen et al., arXiv 1802.04799).  Its values and cotangents are
+bitwise those of the separate numpy steps.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype != np.float32:
             arr = np.asarray(arr, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError(f"non-finite values produced by '{_op}'")
         self.data = arr
         self.node_id = next(_node_ids)
@@ -169,7 +176,7 @@ def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def _check_binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
+def _check_binary_shapes(a: np.ndarray, b: np.ndarray, op: str) -> None:
     # Equal shapes, or one side is a scalar (the only implicit broadcast).
     if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
@@ -182,23 +189,31 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _scalar_operand(value, dtype, op: str) -> np.ndarray:
+    # A Python scalar is a constant, not a node: a 0-d array of its
+    # partner's dtype.  One beyond that dtype's range becomes inf here.
+    with np.errstate(over="ignore"):
+        arr = np.asarray(value, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise NumericError(f"{op}: scalar operand {value!r} is not finite as {arr.dtype}")
+    return arr
+
+
 def _binary(a, b, fwd, da, db, name: str) -> Tensor:
-    # A Python scalar takes its partner's dtype.
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.data.dtype))
-    if not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.data.dtype))
-    _check_binary_shapes(a, b, name)
+    # Tensor operands are parents; a Python scalar takes its partner's dtype.
+    x = a.data if isinstance(a, Tensor) else _scalar_operand(a, b.data.dtype, name)
+    y = b.data if isinstance(b, Tensor) else _scalar_operand(b, a.data.dtype, name)
+    _check_binary_shapes(x, y, name)
     # Overflow/zero-division surface as NumericError via the finiteness
     # check in the constructor; numpy's own warning is redundant here.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = Tensor(fwd(a.data, b.data), _parents=(a, b), _op=name)
+        out = Tensor(fwd(x, y), _parents=tuple(t for t in (a, b) if isinstance(t, Tensor)), _op=name)
 
     def bwd(g: np.ndarray) -> None:
-        if a._needed:
-            a._accum_cot(_reduce_to(da(g, a.data, b.data), a.shape))
-        if b._needed:
-            b._accum_cot(_reduce_to(db(g, a.data, b.data), b.shape))
+        if isinstance(a, Tensor) and a._needed:
+            a._accum_cot(_reduce_to(da(g, x, y), a.shape))
+        if isinstance(b, Tensor) and b._needed:
+            b._accum_cot(_reduce_to(db(g, x, y), b.shape))
 
     out._backward_fn = bwd
     return out
@@ -249,34 +264,6 @@ def log(a: Tensor) -> Tensor:
     return _unary(a, np.log, lambda g, x, y: g / x, "log")
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    # Subgradient at 0 follows the negative branch (slope).
-    return _unary(
-        a,
-        lambda x: np.where(x > 0.0, x, slope * x),
-        lambda g, x, y: np.where(x > 0.0, g, slope * g),
-        "leaky_relu",
-    )
-
-
-def tanh(a: Tensor) -> Tensor:
-    return _unary(a, np.tanh, lambda g, x, y: g * (1.0 - y * y), "tanh")
-
-
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # Two-branch form: never exponentiates a large positive argument.
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    return _unary(a, _sigmoid_values, lambda g, x, y: g * y * (1.0 - y), "sigmoid")
-
-
 def absolute(a: Tensor) -> Tensor:
     # Subgradient of |x| at 0 is taken as 0.
     return _unary(a, np.abs, lambda g, x, y: g * np.sign(x), "abs")
@@ -313,24 +300,6 @@ def cast(a: Tensor, dtype) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra and reductions
 # ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product [m x k] @ [k x n]; backward dA = g Bᵀ, dB = Aᵀ g."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects matrices, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, _parents=(a, b), _op="matmul")
-
-    def bwd(g: np.ndarray) -> None:
-        if a._needed:
-            a._accum_cot(g @ b.data.T)
-        if b._needed:
-            b._accum_cot(a.data.T @ g)
-
-    out._backward_fn = bwd
-    return out
-
 
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum of every entry, accumulated in float64."""
@@ -381,6 +350,75 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
             x._accum_cot(g)
         if v._needed:
             v._accum_cot(g.sum(axis=0))
+
+    out._backward_fn = bwd
+    return out
+
+
+# ---------------------------------------------------------------------------
+# network layers
+# ---------------------------------------------------------------------------
+
+ACTIVATIONS = ("linear", "leaky_relu", "tanh", "sigmoid")
+
+
+def _sigmoid_in_place(h: np.ndarray) -> None:
+    # Two-branch form: never exponentiates a large positive argument.
+    # exp(-|h|) is exp(-h) where h >= 0 and exp(h) elsewhere.
+    pos = h >= 0.0
+    e = np.exp(-np.abs(h))
+    denom = 1.0 + e
+    np.divide(1.0, denom, out=h, where=pos)
+    np.divide(e, denom, out=h, where=~pos)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: float = 0.2) -> Tensor:
+    """One fully connected layer, act(x @ w + b), as one node: input
+    [n x k], weights [k x m], bias [m], output [n x m].
+
+    ``activation`` is one of ``ACTIVATIONS``; ``slope`` is leaky_relu's
+    slope below zero, whose subgradient at 0 it also is.  The bias and
+    the activation run in place in the product.  Operands of mixed
+    dtypes are promoted to float64 first (the module's dtype rule).
+    Backward: with gh the cotangent through the activation, dx = gh wᵀ,
+    dw = xᵀ gh and db = Σ_rows gh.
+    """
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ShapeError(f"dense: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    dtype = np.result_type(x.data, w.data, b.data)
+    xd, wd = x.data.astype(dtype, copy=False), w.data.astype(dtype, copy=False)
+    mask = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = xd @ wd
+        h += b.data
+        # tanh and sigmoid would turn an inf into a finite value.
+        if activation in ("tanh", "sigmoid") and not np.isfinite(h).all():
+            raise NumericError("non-finite values produced by 'dense' before its activation")
+        if activation == "leaky_relu":
+            mask = h > 0.0
+            np.multiply(h, slope, out=h, where=~mask)
+        elif activation == "tanh":
+            np.tanh(h, out=h)
+        elif activation == "sigmoid":
+            _sigmoid_in_place(h)
+    out = Tensor(h, _parents=(x, w, b), _op="dense")
+
+    def bwd(g: np.ndarray) -> None:
+        # h holds the activation's output; mask, the sign before it.
+        if activation == "leaky_relu":
+            g = np.where(mask, g, slope * g)
+        elif activation == "tanh":
+            g = g * (1.0 - h * h)
+        elif activation == "sigmoid":
+            g = g * h * (1.0 - h)
+        if x._needed:
+            x._accum_cot(g @ wd.T)
+        if w._needed:
+            w._accum_cot(xd.T @ g)
+        if b._needed:
+            b._accum_cot(g.sum(axis=0))
 
     out._backward_fn = bwd
     return out

@@ -83,8 +83,9 @@ def score_patchset(
     """Score every patch; optionally group patches sharing a source id.
 
     A grouped clip scores as the max of its patch scores, so an anomaly
-    anywhere in the clip flags the whole clip, and it is anomalous if
-    any of its patches is labeled so.
+    anywhere in the clip flags the whole clip.  It is anomalous if any
+    of its patches is labeled so, and otherwise takes its first patch's
+    label.  Clips come in the order of their first patch.
     """
     if len(patchset) == 0:
         raise InvalidInputError("nothing to score")
@@ -95,19 +96,17 @@ def score_patchset(
             ScoredSample(sid, float(s), int(lab))
             for sid, s, lab in zip(patchset.source_ids, scores, patchset.labels)
         ]
-    order: list[str] = []
-    grouped: dict[str, list[int]] = {}
-    for i, sid in enumerate(patchset.source_ids):
-        if sid not in grouped:
-            grouped[sid] = []
-            order.append(sid)
-        grouped[sid].append(i)
-    out = []
-    for sid in order:
-        idx = grouped[sid]
-        label = LABEL_ANOMALOUS if np.any(patchset.labels[idx] == LABEL_ANOMALOUS) else int(patchset.labels[idx[0]])
-        out.append(ScoredSample(sid, float(scores[idx].max()), label))
-    return out
+    # codes[i] numbers patch i's clip in order of first appearance; a
+    # stable sort puts each clip's patches together, its first one first.
+    index: dict[str, int] = {}
+    codes = np.fromiter((index.setdefault(sid, len(index)) for sid in patchset.source_ids),
+                        dtype=np.intp, count=len(patchset))
+    order = np.argsort(codes, kind="stable")
+    starts = np.searchsorted(codes[order], np.arange(len(index)))
+    clip_scores = np.maximum.reduceat(scores[order], starts)
+    anomalous = np.logical_or.reduceat(patchset.labels[order] == LABEL_ANOMALOUS, starts)
+    labels = np.where(anomalous, LABEL_ANOMALOUS, patchset.labels[order[starts]])
+    return [ScoredSample(sid, float(s), int(lab)) for sid, s, lab in zip(index, clip_scores, labels)]
 
 
 # ---------------------------------------------------------------------------

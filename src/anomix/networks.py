@@ -1,11 +1,12 @@
 """The five networks: encoder, decoder, auxiliary encoder, discriminator,
 and the mixture-membership estimator, plus checkpoint serialization.
 
-All are plain MLPs over flattened patches.  The auxiliary encoder has the
-same shape as the encoder but independent weights: it re-encodes the
-reconstruction and acts as the anchor the latent-distance loss pulls
-toward, so tying it to the encoder would collapse the two sides of that
-distance.
+All are plain MLPs over flattened patches, one ``autodiff.dense`` node
+per layer; a numeric error in a forward pass names the network and the
+layer that produced it.  The auxiliary encoder has the same shape as
+the encoder but independent weights: it re-encodes the reconstruction
+and acts as the anchor the latent-distance loss pulls toward, so tying
+it to the encoder would collapse the two sides of that distance.
 
 The encoder, decoder, auxiliary encoder and discriminator compute in
 the model's dtype, float32 unless ``init_model`` is asked for float64.
@@ -48,7 +49,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import replace_on_success
 from .autodiff import Tensor
-from .errors import FormatError, InvalidConfigError, ShapeError
+from .errors import FormatError, InvalidConfigError, NumericError, ShapeError
 from .features import NormStats
 from .mixture import GmmParams
 
@@ -126,25 +127,16 @@ class ArchConfig:
 
 class Mlp:
     """Fully connected stack; weights [in x out], biases [out], all of
-    one dtype."""
+    one dtype.  ``name`` is the network's entry in NETWORK_NAMES, which
+    a numeric error in ``forward`` reports with its layer."""
 
-    def __init__(self, weights, biases, hidden, output, leaky_slope=0.2):
+    def __init__(self, name, weights, biases, hidden, output, leaky_slope):
+        self.name = name
         self.weights = weights
         self.biases = biases
         self.hidden = hidden        # activation name for all but the last layer
         self.output = output        # activation name for the last layer
         self.leaky_slope = leaky_slope
-
-    def _activate(self, h: Tensor, kind: str) -> Tensor:
-        if kind == "linear":
-            return h
-        if kind == "leaky_relu":
-            return ad.leaky_relu(h, self.leaky_slope)
-        if kind == "tanh":
-            return ad.tanh(h)
-        if kind == "sigmoid":
-            return ad.sigmoid(h)
-        raise ValueError(f"unknown activation {kind!r}")
 
     @property
     def dtype(self) -> np.dtype:
@@ -152,7 +144,8 @@ class Mlp:
 
     def forward(self, x: Tensor) -> Tensor:
         """The network's output for a batch [n x in], computed in the
-        network's dtype; ``x`` is cast to it first."""
+        network's dtype; ``x`` is cast to it first.  One ``dense`` node
+        per layer."""
         if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
             raise ShapeError(
                 f"expected input [batch x {self.weights[0].shape[0]}], got {x.shape}"
@@ -160,8 +153,10 @@ class Mlp:
         h = ad.cast(x, self.dtype)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add_rowvec(ad.matmul(h, w), b)
-            h = self._activate(h, self.output if i == last else self.hidden)
+            try:
+                h = ad.dense(h, w, b, self.output if i == last else self.hidden, self.leaky_slope)
+            except NumericError as err:
+                raise NumericError(f"{self.name} layer {i}: {err}") from err
         return h
 
     def parameters(self) -> list:
@@ -235,7 +230,7 @@ def init_model(arch: ArchConfig, seed: int, dtype=DEFAULT_DTYPE) -> Model:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(net_dtype)))
             biases.append(Tensor(np.zeros(fan_out, dtype=net_dtype)))
-        nets[name] = Mlp(weights, biases, hidden, output, arch.leaky_slope)
+        nets[name] = Mlp(name, weights, biases, hidden, output, arch.leaky_slope)
     return Model(arch=arch, init_seed=seed, **nets)
 
 
@@ -389,7 +384,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise FormatError(f"{path}: array shape mismatch for {name} layer {i}")
             weights.append(Tensor(w))
             biases.append(Tensor(b))
-        nets[name] = Mlp(weights, biases, hidden, output, arch.leaky_slope)
+        nets[name] = Mlp(name, weights, biases, hidden, output, arch.leaky_slope)
     model = Model(arch=arch, init_seed=seed, **nets)
 
     stats = None

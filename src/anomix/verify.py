@@ -4,11 +4,13 @@ Three families of checks, each with an explicit tolerance and the
 maximum observed error:
 
 * central finite differences against every analytic gradient, op by op
-  (every differentiable op in ``autodiff``, the two batched mixture ops
-  with respect to each input) and loss by loss (1e-5 relative; 1e-4
-  through the mixture statistics and energy, whose longer chains
-  accumulate more rounding).  ``gradient_cases`` is the one list of
-  these cases; the test suite runs the same list;
+  (every differentiable op in ``autodiff``, named "op <function>";
+  ``dense`` for each activation with respect to x, w and b; the two
+  batched mixture ops with respect to each input) and loss by loss
+  (1e-5 relative; 1e-4 through the mixture statistics and energy, whose
+  longer chains accumulate more rounding).  ``gradient_cases`` is the
+  one list of these cases; the test suite runs the same list and checks
+  that it names every public op returning a ``Tensor``;
 * the membership-statistics cross-check between the graph route and the
   classical EM M-step (1e-12);
 * sample energies against a naive determinant-and-inverse evaluation of
@@ -73,6 +75,7 @@ def _op_gradient_cases(rng):
     b = Tensor(rng.standard_normal((4, 3)))
     c = Tensor(rng.standard_normal((3, 2)))
     v = Tensor(rng.standard_normal(3))
+    bias = Tensor(rng.standard_normal(2))
     s = Tensor(rng.standard_normal(4))
     w = Tensor(rng.standard_normal((4, 3)))
     w2 = Tensor(rng.standard_normal((4, 2)))
@@ -88,14 +91,9 @@ def _op_gradient_cases(rng):
         ("op div", lambda: ad.tensor_sum(ad.div(a, pos)), pos),
         ("op neg", lambda: ad.tensor_sum(ad.mul(ad.neg(a), w)), a),
         ("op log", lambda: ad.tensor_sum(ad.log(pos)), pos),
-        ("op leaky_relu", lambda: ad.tensor_sum(ad.mul(ad.leaky_relu(a, 0.2), w)), a),
-        ("op tanh", lambda: ad.tensor_sum(ad.mul(ad.tanh(a), w)), a),
-        ("op sigmoid", lambda: ad.tensor_sum(ad.mul(ad.sigmoid(a), w)), a),
-        ("op abs", lambda: ad.tensor_sum(ad.absolute(a)), a),
+        ("op absolute", lambda: ad.tensor_sum(ad.absolute(a)), a),
         ("op clip", lambda: ad.tensor_sum(ad.clip(pos, 0.6, 1.8)), pos),
-        ("op matmul d/da", lambda: ad.tensor_sum(ad.mul(ad.matmul(a, c), w2)), a),
-        ("op matmul d/dc", lambda: ad.tensor_sum(ad.mul(ad.matmul(a, c), w2)), c),
-        ("op sum", lambda: ad.tensor_sum(a), a),
+        ("op tensor_sum", lambda: ad.tensor_sum(a), a),
         ("op mean", lambda: ad.mean(a), a),
         ("op sum_axis 0", lambda: ad.tensor_sum(ad.mul(ad.sum_axis(a, 0), v)), a),
         ("op sum_axis 1", lambda: ad.tensor_sum(ad.mul(ad.sum_axis(a, 1), s)), a),
@@ -107,6 +105,10 @@ def _op_gradient_cases(rng):
         ("op l1_distance", lambda: ad.l1_distance(a, b), a),
         ("op l2_distance", lambda: ad.l2_distance(a, b), a),
         ("op cast", lambda: ad.tensor_sum(ad.mul(ad.cast(ad.cast(small, np.float32), np.float64), w)), small),
+    ] + [
+        (f"op dense {act} d/d{name}", lambda act=act: ad.tensor_sum(ad.mul(ad.dense(a, c, bias, act, 0.2), w2)), t)
+        for act in ad.ACTIVATIONS
+        for name, t in (("x", a), ("w", c), ("b", bias))
     ]
 
 

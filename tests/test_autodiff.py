@@ -10,22 +10,29 @@ from anomix import verify
 from anomix.errors import NumericError, ShapeError
 
 
+def _activate(x, activation, slope=0.2):
+    """``activation`` applied to each entry of a matrix: a ``dense``
+    layer with an identity weight and a zero bias, which add nothing."""
+    n = x.shape[1]
+    return ad.dense(x, ad.Tensor(np.eye(n)), ad.Tensor(np.zeros(n)), activation, slope)
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
-        x = ad.Tensor([0.0])
-        y = ad.tensor_sum(ad.sigmoid(x))
+        x = ad.Tensor([[0.0]])
+        y = ad.tensor_sum(_activate(x, "sigmoid"))
         assert y.item() == pytest.approx(0.5, abs=1e-15)
         (grad,) = ad.backward(y, [x])
-        assert grad[0] == pytest.approx(0.25, abs=1e-15)
+        assert grad[0, 0] == pytest.approx(0.25, abs=1e-15)
 
     def test_sigmoid_extreme_inputs_do_not_overflow(self):
-        x = ad.Tensor([-1000.0, 1000.0])
-        y = ad.sigmoid(x)
-        np.testing.assert_allclose(y.data, [0.0, 1.0], atol=1e-12)
+        x = ad.Tensor([[-1000.0, 1000.0]])
+        y = _activate(x, "sigmoid")
+        np.testing.assert_allclose(y.data, [[0.0, 1.0]], atol=1e-12)
 
     def test_leaky_relu_values(self):
-        x = ad.Tensor([-2.0, 3.0])
-        np.testing.assert_allclose(ad.leaky_relu(x, 0.2).data, [-0.4, 3.0])
+        x = ad.Tensor([[-2.0, 3.0]])
+        np.testing.assert_allclose(_activate(x, "leaky_relu", 0.2).data, [[-0.4, 3.0]])
 
     def test_log_of_nonpositive_raises(self):
         with pytest.raises(NumericError):
@@ -46,6 +53,101 @@ class TestElementwise:
             ad.mul(x, x)
 
 
+def _sigmoid_oracle(h):
+    # The two-branch form through fancy indexing.
+    out = np.empty_like(h)
+    pos = h >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-h[pos]))
+    e = np.exp(h[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _numpy_dense(x, w, b, c, activation, slope):
+    """act(x @ w + b) and the gradients (dx, dw, db) of
+    sum(act(x @ w + b) * c), op by op in plain numpy."""
+    h = x @ w + b[None, :]
+    if activation == "leaky_relu":
+        y, gh = np.where(h > 0.0, h, slope * h), np.where(h > 0.0, c, slope * c)
+    elif activation == "tanh":
+        y = np.tanh(h)
+        gh = c * (1.0 - y * y)
+    elif activation == "sigmoid":
+        y = _sigmoid_oracle(h)
+        gh = c * y * (1.0 - y)
+    else:
+        y, gh = h, c
+    return y, gh @ w.T, x.T @ gh, gh.sum(axis=0)
+
+
+def _dense_and_grads(x, w, b, c, activation, slope):
+    tx, tw, tb = ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)
+    y = ad.dense(tx, tw, tb, activation, slope)
+    return [y.data, *ad.backward(ad.tensor_sum(ad.mul(y, ad.Tensor(c))), [tx, tw, tb])]
+
+
+class TestDense:
+    @staticmethod
+    def _operands(dtype, seed=50):
+        rng = np.random.default_rng(seed)
+        x, w, c = (rng.standard_normal(shape).astype(dtype) for shape in ((33, 7), (7, 5), (33, 5)))
+        # Biases far out on both sides saturate tanh and both sigmoid branches.
+        b = np.array([0.0, -40.0, 40.0, -1000.0, 0.5], dtype=dtype)
+        return x, w, b, c
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
+    def test_value_and_cotangents_are_bitwise_the_numpy_composition(self, activation, dtype):
+        operands = self._operands(dtype)
+        got = _dense_and_grads(*operands, activation, 0.2)
+        for g, want in zip(got, _numpy_dense(*operands, activation, 0.2)):
+            assert g.dtype == dtype and g.shape == want.shape
+            assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slope", [-0.5, 0.0, 2.0])
+    def test_leaky_relu_branch_is_taken_before_the_activation(self, slope):
+        # With these slopes the output's sign does not tell the branch.
+        operands = self._operands(np.float32, seed=51)
+        got = _dense_and_grads(*operands, "leaky_relu", slope)
+        for g, want in zip(got, _numpy_dense(*operands, "leaky_relu", slope)):
+            assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("wide", range(3))
+    def test_mixed_dtypes_compute_in_float64(self, wide):
+        # One operand float64, the other two float32: the whole layer
+        # computes in float64, and each cotangent has its operand's dtype.
+        operands = self._operands(np.float64, seed=52)
+        x, w, b = (a if i == wide else a.astype(np.float32) for i, a in enumerate(operands[:3]))
+        y, *grads = _dense_and_grads(x, w, b, operands[3], "tanh", 0.2)
+        want = _numpy_dense(*(a.astype(np.float64) for a in (x, w, b)), operands[3], "tanh", 0.2)
+        assert y.dtype == np.float64
+        np.testing.assert_array_equal(y, want[0])
+        for g, exp, operand in zip(grads, want[1:], (x, w, b)):
+            assert g.dtype == operand.dtype
+            np.testing.assert_array_equal(g, exp.astype(operand.dtype))
+
+    def test_one_node_per_layer(self):
+        x, w, b = (ad.Tensor(a) for a in self._operands(np.float64)[:3])
+        assert ad.dense(x, w, b, "sigmoid")._parents == (x, w, b)
+
+    @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
+    def test_overflow_raises_even_where_the_activation_saturates(self, activation):
+        # 1e30 * 1e30 overflows float32; tanh and sigmoid would map the inf to 1.
+        x = ad.Tensor(np.full((1, 2), 1e30, dtype=np.float32))
+        w = ad.Tensor(np.full((2, 1), 1e30, dtype=np.float32))
+        with pytest.raises(NumericError):
+            ad.dense(x, w, ad.Tensor(np.zeros(1, dtype=np.float32)), activation)
+
+    def test_rejects_bad_shapes_and_unknown_activation(self):
+        x, w, b = (ad.Tensor(a) for a in self._operands(np.float64)[:3])
+        with pytest.raises(ShapeError):
+            ad.dense(x, w, ad.Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError):
+            ad.dense(x, ad.Tensor(np.ones((6, 5))), b)
+        with pytest.raises(ValueError):
+            ad.dense(x, w, b, "relu")
+
+
 class TestDtypeRule:
     def test_float32_kept_everything_else_float64(self):
         assert ad.Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
@@ -56,6 +158,21 @@ class TestDtypeRule:
         x = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32))
         assert ad.mul(x, 0.1).data.dtype == np.float32
         assert ad.sub(1.0, x).data.dtype == np.float32
+
+    def test_python_scalar_is_a_constant_not_a_node(self):
+        x = ad.Tensor([1.0, 2.0])
+        assert ad.mul(x, 2.0)._parents == (x,)
+        assert ad.sub(3.0, x)._parents == (x,)
+        (g,) = ad.backward(ad.tensor_sum(ad.div(6.0, x)), [x])
+        np.testing.assert_array_equal(g, [-6.0, -1.5])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e39])
+    def test_non_finite_scalar_raises(self, value):
+        # 1e39 is finite as a Python float, but not as float32.  x / inf
+        # would be a finite 0, so only the operand check can catch it.
+        x = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32))
+        with pytest.raises(NumericError, match="scalar operand"):
+            ad.div(x, value)
 
     def test_mixed_op_is_float64_and_each_cotangent_has_its_node_dtype(self):
         a = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32))
@@ -89,20 +206,22 @@ class TestDtypeRule:
 
 
 class TestMatmul:
+    """The product inside ``dense``, with a zero bias and no activation."""
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         x = ad.Tensor(rng.standard_normal((3, 3)))
         eye = ad.Tensor(np.eye(3))
-        np.testing.assert_array_equal(ad.matmul(eye, x).data, x.data)
+        np.testing.assert_array_equal(ad.dense(eye, x, ad.Tensor(np.zeros(3))).data, x.data)
 
     def test_hand_example(self):
         a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = ad.Tensor([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
+        np.testing.assert_array_equal(ad.dense(a, b, ad.Tensor(np.zeros(2))).data, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+            ad.dense(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))), ad.Tensor(np.zeros(3)))
 
 
 class TestReductions:
@@ -179,7 +298,7 @@ class TestGraph:
 
         def run():
             t = ad.Tensor(x)
-            return ad.softmax_rows(ad.matmul(ad.tanh(t), t)).data.tobytes()
+            return ad.softmax_rows(ad.dense(t, t, ad.Tensor(np.zeros(8)), "tanh")).data.tobytes()
 
         assert run() == run()
 
@@ -190,7 +309,7 @@ def _graph(rng):
     a = ad.Tensor(rng.standard_normal((4, 3)))
     b = ad.Tensor(rng.standard_normal((3, 5)))
     unused = ad.Tensor(rng.standard_normal(5))
-    shared = ad.tanh(ad.matmul(a, b))
+    shared = ad.dense(a, b, ad.Tensor(np.zeros(5)), "tanh")
     ad.add_rowvec(shared, unused)
     w = ad.Tensor(rng.standard_normal((4, 5)))
     loss = ad.add(ad.tensor_sum(ad.mul(shared, shared)), ad.tensor_sum(ad.mul(ad.softmax_rows(shared), w)))

@@ -12,6 +12,7 @@ from anomix.errors import InvalidInputError, NumericError
 from anomix.features import (
     LABEL_ANOMALOUS,
     LABEL_NORMAL,
+    LABEL_UNKNOWN,
     NormStats,
     PatchSet,
     gen_synthetic_dataset,
@@ -96,6 +97,25 @@ class TestAuc:
         assert all(x1 >= x0 and y1 >= y0 for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
+def group_by_clip_oracle(per_patch):
+    """The per-clip loop: clips in order of first appearance, max patch
+    score, anomalous if any patch is and else the first patch's label."""
+    order, grouped = [], {}
+    for i, s in enumerate(per_patch):
+        if s.source_id not in grouped:
+            grouped[s.source_id] = []
+            order.append(s.source_id)
+        grouped[s.source_id].append(i)
+    scores = np.array([s.score for s in per_patch])
+    labels = np.array([s.label for s in per_patch])
+    out = []
+    for sid in order:
+        idx = grouped[sid]
+        label = LABEL_ANOMALOUS if np.any(labels[idx] == LABEL_ANOMALOUS) else int(labels[idx[0]])
+        out.append(ev.ScoredSample(sid, float(scores[idx].max()), label))
+    return out
+
+
 class TestScoring:
     def _model_and_data(self, seed=0):
         model = nets.init_model(ARCH, seed)
@@ -141,6 +161,21 @@ class TestScoring:
         assert grouped[0].score == max(s.score for s in per_patch[:9])
         assert grouped[1].score == max(s.score for s in per_patch[9:])
         assert grouped[1].label == LABEL_ANOMALOUS  # contains anomalous patches
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("mode", ["latent", "energy"])
+    def test_grouping_equals_the_loop_oracle(self, seed, mode):
+        # Clips interleaved at random, some of one patch, with every label kind.
+        model, data, stats = self._model_and_data(seed)
+        rng = np.random.default_rng(seed)
+        data = PatchSet(
+            patches=data.patches,
+            source_ids=[f"clip-{k}" for k in rng.integers(0, 7, len(data))],
+            labels=rng.choice([LABEL_NORMAL, LABEL_ANOMALOUS, LABEL_UNKNOWN], len(data), p=[0.6, 0.1, 0.3]),
+        )
+        gmm = mx.GmmParams.from_arrays(np.full(2, 0.5), np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
+        per_patch = ev.score_patchset(model, data, stats, mode=mode, gmm=gmm, group_by_clip=False)
+        assert ev.score_patchset(model, data, stats, mode=mode, gmm=gmm) == group_by_clip_oracle(per_patch)
 
     def test_energy_mode_needs_mixture(self):
         model, data, stats = self._model_and_data()

@@ -8,7 +8,7 @@ import pytest
 from anomix import autodiff as ad
 from anomix import networks as nets
 from anomix.autodiff import Tensor
-from anomix.errors import FormatError, InvalidConfigError, ShapeError
+from anomix.errors import FormatError, InvalidConfigError, NumericError, ShapeError
 from anomix.features import NormStats
 from anomix.mixture import GmmParams
 
@@ -59,6 +59,17 @@ class TestForwardContracts:
         # Both dtypes start from the same draws.
         for p32, p64 in zip(model.all_parameters(), model64.all_parameters()):
             np.testing.assert_array_equal(p32.data, p64.data.astype(p32.data.dtype))
+
+    def test_overflow_names_the_network_and_layer(self):
+        # A bias of 10 keeps the hidden outputs near 10, so weights of
+        # 3e38 overflow float32 in the decoder's last layer (2), whose
+        # tanh would turn the inf into 1.
+        model = small_model(4)
+        model.decoder.biases[1].data[...] = 10.0
+        model.decoder.weights[-1].data[...] = 3e38
+        z = Tensor(np.random.default_rng(5).standard_normal((2, 4)))
+        with pytest.raises(NumericError, match=r"^decoder layer 2: "):
+            nets.decode(model, z)
 
     @pytest.mark.parametrize("arch", [
         SMALL,
@@ -187,6 +198,8 @@ class TestCheckpoint:
         ckpt = nets.load_checkpoint(path)
         assert ckpt.model.arch == SMALL
         assert ckpt.model.init_seed == 31
+        for m in (model, ckpt.model):
+            assert [m.network(name).name for name in nets.NETWORK_NAMES] == list(nets.NETWORK_NAMES)
         for pa, pb in zip(model.all_parameters(), ckpt.model.all_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
         np.testing.assert_array_equal(ckpt.norm_stats.mean, stats.mean)

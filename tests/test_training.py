@@ -346,6 +346,41 @@ class TestTrainStep:
         assert wins == 5
 
 
+def nodes_made_by(fn) -> int:
+    """How many graph nodes ``fn()`` creates (each probe takes an id too)."""
+    first = Tensor(0.0).node_id
+    fn()
+    return Tensor(0.0).node_id - first - 1
+
+
+class TestGraphSize:
+    """Exact node counts on TINY_ARCH: a network layer split back into
+    several nodes, or a constant made a node again, changes them."""
+
+    def _state_and_design(self):
+        state = tr.make_train_state(TINY_ARCH, TINY_CONFIG)
+        return state, np.random.default_rng(7).standard_normal((16, 256)).astype(np.float32)
+
+    def test_one_train_step(self):
+        state, design = self._state_and_design()
+        # One dense node per layer: encoder 3, decoder 3, discriminator
+        # 2 three times, auxiliary encoder 3, estimator 2.  The other 49
+        # are the input, the latent cast, the losses and the mixture head.
+        assert nodes_made_by(lambda: tr.train_step(state, design, TINY_CONFIG)) == 17 + 49
+
+    @pytest.mark.parametrize("mode, layers, others", [
+        # input, output scale, difference and row norm
+        ("latent", 9, 4),
+        # input, latent cast, and the energy's clip, log, log densities,
+        # add_rowvec, logsumexp and negation
+        ("energy", 3, 8),
+    ])
+    def test_one_score_design_call(self, mode, layers, others):
+        state, design = self._state_and_design()
+        gmm = tr.full_dataset_mixture(state.model, design, TINY_CONFIG.cov_eps)
+        assert nodes_made_by(lambda: ev.score_design(state.model, design, mode, gmm)) == layers + others
+
+
 class TestFit:
     def test_zero_epochs_returns_initialized_state(self):
         data = tiny_data()
