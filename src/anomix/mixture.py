@@ -127,7 +127,7 @@ def estimation_loss(
     mixture can collapse onto single samples.
     """
     total_energy = ad.tensor_sum(energy_batch(z_batch, params))
-    penalty = ad.tensor_sum(ad.div(Tensor(1.0), ad.diag_part(params.covariances)))
+    penalty = ad.tensor_sum(ad.div(1.0, ad.diag_part(params.covariances)))
     return ad.add(ad.mul(total_energy, lambda1), ad.mul(penalty, lambda2))
 
 

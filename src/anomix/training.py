@@ -17,11 +17,15 @@ scalar (see ``autodiff``).
 
 Each update clips its group's gradients to a joint norm and takes one
 Adam step, in one pass over cache-sized blocks: ``clip_global_norm``
-only computes the factor, blockwise, and ``adam_update`` applies it as
-the first op of each block, so neither builds a full-size temporary or
-makes a pass of its own over the gradients.  The result is bitwise that
-of scaling whole gradient arrays and then running textbook Adam on
-whole arrays (Kingma & Ba, arXiv 1412.6980).
+only reads the gradients, to compute the factor, and ``adam_update``
+folds the factor into the first coefficient of each block, so neither
+builds a full-size temporary and no pass writes scaled gradients.  The
+step is Adam in the efficient form Kingma & Ba give at the end of their
+section 2 (arXiv 1412.6980): the bias corrections go into the step size
+and epsilon, so no block is divided by them.  Every coefficient is a
+Python float, which under numpy's promotion rules takes the dtype of the
+array it meets, so a float32 block is computed in float32 throughout;
+only the norm's per-leaf sums are added in float64.
 
 Everything is deterministic in (seed, config, data): initialization,
 shuffling, and updates derive from one seeded generator, so two runs
@@ -91,7 +95,8 @@ class TrainConfig:
 # Elements per block of the Adam update and per leaf of the gradient
 # norm: the block of each of the five arrays an update touches
 # (parameter, gradient, two moments, scratch) stays in L2 cache between
-# its dozen elementwise passes.
+# its dozen elementwise passes, and a float32 leaf's dot product
+# accumulates over few enough elements to stay within ~1e-7 relative.
 ADAM_BLOCK = 32768
 
 
@@ -187,63 +192,68 @@ def _cut_blocks(sizes) -> list[list[tuple[int, int, int]]]:
     return blocks
 
 
-def _sum_of_squares(flat: np.ndarray):
-    """``(flat * flat).sum()``, bit for bit, with no full-size temporary.
-
-    numpy sums a contiguous array pairwise, splitting n elements at
-    ``n // 2 - (n // 2) % 8`` and adding the halves in the array's dtype.
-    Taking the same splits down to leaves of at most ``ADAM_BLOCK``
-    elements and squaring one leaf at a time gives the same result.
-    """
-    n = flat.size
-    if n <= ADAM_BLOCK:
-        return (flat * flat).sum()
-    half = n // 2
-    half -= half % 8
-    return _sum_of_squares(flat[:half]) + _sum_of_squares(flat[half:])
-
-
-def clip_global_norm(grads, max_norm: float) -> np.float64 | None:
+def clip_global_norm(grads, max_norm: float) -> float | None:
     """The factor that scales the gradient group to joint norm
     ``max_norm``, or None when its norm is already at most ``max_norm``.
 
-    The gradients are left as they are: ``adam_update`` applies the
-    factor as the first op of each of its blocks.  The norm is each
-    array's pairwise sum of squares (see ``_sum_of_squares``) in its own
-    dtype, added up as Python floats, and the factor is the
-    ``np.float64`` quotient ``max_norm / norm``.  Clipping fires on most
-    steps, so another summation order, or a factor of another type
-    (under numpy's promotion rules a Python float or a float32 scales a
-    float32 gradient in float32, not in float64), would change the
-    scaled gradients' last bits and with them every checkpoint.
+    The gradients are left as they are: ``adam_update`` folds the factor
+    into its first coefficient.  Each array's squared norm is read-only
+    BLAS dots (``np.dot(leaf, leaf)``) over leaves of at most
+    ``ADAM_BLOCK`` elements, in the array's dtype, with no temporaries;
+    the leaves are added as Python floats.  The norm is within ~1e-7
+    relative of the exact sum for float32 gradients and ~1e-15 for
+    float64.  The factor is a Python float, so it scales a float32
+    gradient in float32.  A non-finite gradient makes the norm NaN
+    (None) or infinite (a factor of 0), and ``adam_update`` then raises
+    on the NaN it produces.  A finite float32 group whose squared norm
+    overflows float32 (a norm above ~1.8e19) also gives a factor of 0,
+    with no error.
     """
-    total = np.sqrt(sum(float(_sum_of_squares(g.reshape(-1))) for g in grads))
-    if total > max_norm:
-        return max_norm / total
+    total = 0.0
+    for g in grads:
+        flat = g.reshape(-1)
+        for start in range(0, flat.size, ADAM_BLOCK):
+            leaf = flat[start:start + ADAM_BLOCK]
+            total += float(np.dot(leaf, leaf))
+    norm = math.sqrt(total)
+    if norm > max_norm:
+        return float(max_norm) / norm
     return None
 
 
-def adam_update(params, grads, state: AdamState, scale: np.float64 | None = None) -> None:
-    """Standard bias-corrected Adam step, in place, of the gradients
-    times ``scale`` (the factor from ``clip_global_norm``; None leaves
-    them unscaled).
+def adam_update(params, grads, state: AdamState, scale: float | None = None) -> None:
+    """Bias-corrected Adam step, in place, of the gradients times
+    ``scale`` (the factor from ``clip_global_norm``; None leaves them
+    unscaled).
 
     ``params`` must be the group ``state`` was built for, in the same
-    order.  Each block of the state's plan (see ``AdamState``) runs
-    ``g *= scale`` and then the textbook formula's elementwise
-    operations in the textbook order, so the result is bitwise that of
-    scaling every gradient array and then updating whole arrays.  Each
-    parameter is updated in its own dtype, and its gradient must have
-    that dtype too.  Gradient blocks walked in place are reused as
+    order.  Each block of the state's plan (see ``AdamState``) runs, with
+    s the scale or 1, alpha_t = lr sqrt(1 - b2^t) / (1 - b1^t) and
+    eps_t = eps sqrt(1 - b2^t):
+
+        tmp = g (1 - b1) s;  m = b1 m + tmp
+        tmp = tmp tmp (1 - b2) / (1 - b1)^2;  v = b2 v + tmp
+        p -= alpha_t m / (sqrt(v) + eps_t)
+
+    which is textbook Adam on s g (Kingma & Ba, end of section 2) with
+    neither bias correction dividing a block.  The v term squares the m
+    term, not g, because s^2 as a float32 coefficient would underflow
+    for a small clip factor.  Every coefficient is a Python float, so
+    each parameter is updated in its own dtype, and its gradient must
+    have that dtype too.  Gradient blocks walked in place are reused as
     buffers, so the gradient arrays hold scratch values afterwards.
     Only parameter values are written; every ``p.data`` stays the same
-    array object.
+    array object.  A non-finite parameter after a block raises
+    ``NumericError``.
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    correction1 = 1.0 - b1 ** t
-    correction2 = 1.0 - b2 ** t
+    b1, b2 = float(state.beta1), float(state.beta2)
+    root_correction2 = math.sqrt(1.0 - b2 ** t)
+    alpha = float(state.lr) * root_correction2 / (1.0 - b1 ** t)
+    eps_hat = float(state.eps) * root_correction2
+    k1 = (1.0 - b1) * (1.0 if scale is None else float(scale))
+    k2 = (1.0 - b2) / (1.0 - b1) ** 2
     for members, mb, vb, tmp, p_pack, g_pack in state.plan:
         if p_pack is None:
             ((i, part),) = members
@@ -254,24 +264,20 @@ def adam_update(params, grads, state: AdamState, scale: np.float64 | None = None
             for i, p_slot, g_slot in members:
                 np.copyto(p_slot, params[i].data)
                 np.copyto(g_slot, grads[i])
-        if scale is not None:
-            gb *= scale
-        # m = b1 m + (1 - b1) g
-        np.multiply(gb, 1.0 - b1, out=tmp)
+        # m = b1 m + (1 - b1) s g
+        np.multiply(gb, k1, out=tmp)
         mb *= b1
         mb += tmp
-        # v = b2 v + (1 - b2) g g
-        np.multiply(gb, 1.0 - b2, out=tmp)
-        tmp *= gb
+        # v = b2 v + (1 - b2) (s g)^2
+        tmp *= tmp
+        tmp *= k2
         vb *= b2
         vb += tmp
-        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
-        np.divide(vb, correction2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        np.divide(mb, correction1, out=gb)
-        gb *= lr
-        gb /= tmp
+        # p -= alpha_t m / (sqrt(v) + eps_t)
+        np.sqrt(vb, out=tmp)
+        tmp += eps_hat
+        np.divide(mb, tmp, out=gb)
+        gb *= alpha
         pb -= gb
         if not np.all(np.isfinite(pb)):
             raise NumericError("non-finite parameter after optimizer step")

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,26 +29,43 @@ NARROW_ARCH = nets.ArchConfig(
 
 
 def oracle_clip(grads, max_norm):
-    """Scales each gradient array in place to joint norm max_norm;
-    whether it fired."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads))
-    if total > max_norm:
-        for g in grads:
-            g *= max_norm / total
-    return bool(total > max_norm)
+    """The clip factor from one dot product per whole gradient array, or
+    None when the group's norm is within max_norm."""
+    norm = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads))
+    return max_norm / norm if norm > max_norm else None
 
 
 def oracle_adam(params, grads, state, scale=None):
-    """Whole-array textbook Adam on already clipped gradients."""
-    assert scale is None
+    """Whole-array Adam in the efficient form of Kingma & Ba (end of
+    section 2) on the gradients times ``scale``.  Every coefficient is a
+    Python float: a float64 one would compute a float32 array in float64
+    and change its bits."""
     state.step_count += 1
     t, b1, b2 = state.step_count, state.beta1, state.beta2
+    alpha = state.lr * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
+    eps_hat = state.eps * math.sqrt(1.0 - b2 ** t)
+    k1 = (1.0 - b1) * (1.0 if scale is None else scale)
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        mg = g * k1
         m *= b1
-        m += (1.0 - b1) * g
+        m += mg
         v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= state.lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + state.eps)
+        v += mg * mg * ((1.0 - b2) / (1.0 - b1) ** 2)
+        p.data -= m / (np.sqrt(v) + eps_hat) * alpha
+
+
+def textbook_adam_step(p, g, m, v, t, lr, b1, b2, eps):
+    """Step t of textbook Adam (Kingma & Ba, Algorithm 1) on whole arrays, in place."""
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+
+
+def exact_norm(grads):
+    """The group's norm from the correctly rounded float64 sum of squares."""
+    return math.sqrt(math.fsum(np.concatenate([np.square(g, dtype=np.float64).ravel() for g in grads])))
 
 
 def tiny_data(seed=0, n=64):
@@ -86,75 +104,133 @@ class TestAdam:
             tr.adam_update([p], [np.full(1, 0.37)], state)
         assert abs(p.data[0] - prev) == pytest.approx(1e-3, rel=1e-3)
 
-    def test_blocked_update_is_bitwise_the_textbook_formula(self):
+    def test_float32_zero_gradient_leaves_parameters_unchanged(self):
+        p = Tensor(np.array([1.0, -2.0, 3e-7], np.float32))
+        before = p.data.tobytes()
+        state = tr.AdamState([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        for _ in range(3):
+            g = np.zeros(3, np.float32)
+            tr.adam_update([p], [g], state, tr.clip_global_norm([g], 1.0))
+        assert p.data.tobytes() == before
+        assert not state.m[0].any() and not state.v[0].any()
+
+    def test_blocked_update_is_bitwise_the_whole_array_formula(self):
         # One tensor over two full blocks and a ragged tail, one 1-element tensor.
-        self._check_bitwise_textbook([((2 * tr.ADAM_BLOCK // 64 + 1, 64), np.float64), ((1,), np.float64)])
+        self._check_bitwise_efficient_form([((2 * tr.ADAM_BLOCK // 64 + 1, 64), np.float64), ((1,), np.float64)])
 
     def test_mixed_dtype_group_updates_each_in_its_own_dtype(self):
         # As in a generator group: float32 networks beside the float64 estimator.
-        self._check_bitwise_textbook([((tr.ADAM_BLOCK + 3,), np.float32), ((7, 5), np.float64),
-                                      ((2 * tr.ADAM_BLOCK,), np.float64), ((3,), np.float32)])
+        self._check_bitwise_efficient_form([((tr.ADAM_BLOCK + 3,), np.float32), ((7, 5), np.float64),
+                                            ((2 * tr.ADAM_BLOCK,), np.float64), ((3,), np.float32)])
 
     def test_many_small_parameters_span_several_packs(self):
         # Sizes from 1 to just under a block, 2-D and 1-D, about five packs' worth.
         rng = np.random.default_rng(3)
         layout = [((int(n),), np.float32) for n in rng.integers(1, tr.ADAM_BLOCK // 6, 30)]
         layout += [((3, 17), np.float32), ((tr.ADAM_BLOCK - 1,), np.float32), ((1,), np.float32)]
-        state = self._check_bitwise_textbook(layout)
+        state = self._check_bitwise_efficient_form(layout)
         assert sum(len(members) > 1 for members, *_ in state.plan) >= 3
 
     def test_large_parameter_between_small_ones(self):
-        self._check_bitwise_textbook([((5, 7), np.float32), ((11,), np.float32),
-                                      ((tr.ADAM_BLOCK // 8 + 1, 16), np.float32),
-                                      ((13,), np.float32), ((tr.ADAM_BLOCK,), np.float32), ((2, 3), np.float32)])
+        self._check_bitwise_efficient_form([((5, 7), np.float32), ((11,), np.float32),
+                                            ((tr.ADAM_BLOCK // 8 + 1, 16), np.float32),
+                                            ((13,), np.float32), ((tr.ADAM_BLOCK,), np.float32), ((2, 3), np.float32)])
 
     def test_interleaved_dtypes_pack_per_dtype(self):
-        self._check_bitwise_textbook([((40, 9), np.float32), ((9,), np.float64), ((9, 4), np.float64),
-                                      ((4,), np.float32), ((tr.ADAM_BLOCK + 9,), np.float64),
-                                      ((700,), np.float32), ((1,), np.float64)])
+        self._check_bitwise_efficient_form([((40, 9), np.float32), ((9,), np.float64), ((9, 4), np.float64),
+                                            ((4,), np.float32), ((tr.ADAM_BLOCK + 9,), np.float64),
+                                            ((700,), np.float32), ((1,), np.float64)])
 
     @staticmethod
-    def _check_bitwise_textbook(layout):
+    def _check_bitwise_efficient_form(layout):
         """Five steps of the production clip and Adam against whole-array
-        textbook updates, once with the clip firing on every step and once
-        with it never firing."""
+        updates in the same form (``oracle_adam``), once with the clip
+        firing on every step and once with it never firing."""
         for max_norm in (1e-9, 1e12):
             rng = np.random.default_rng(11)
             params = [Tensor(rng.standard_normal(s).astype(dtype)) for s, dtype in layout]
-            lr, b1, b2, eps = 1e-3, 0.5, 0.999, 1e-8
-            state = tr.AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-            ref_p = [p.data.copy() for p in params]
-            ref_m = [np.zeros(s, dtype) for s, dtype in layout]
-            ref_v = [np.zeros(s, dtype) for s, dtype in layout]
-            for t in range(1, 6):
+            ref_params = [Tensor(p.data.copy()) for p in params]
+            state, ref_state = (tr.AdamState(ps, lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8)
+                                for ps in (params, ref_params))
+            for _ in range(5):
                 grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
                          for s, dtype in layout]
                 scale = tr.clip_global_norm(grads, max_norm)
-                ref_grads = [g.copy() for g in grads]
-                oracle_clip(ref_grads, max_norm)
                 assert (scale is None) == (max_norm > 1.0)
-                for p, g, m, v in zip(ref_p, ref_grads, ref_m, ref_v):
-                    m *= b1
-                    m += (1.0 - b1) * g
-                    v *= b2
-                    v += (1.0 - b2) * g * g
-                    p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+                if scale is not None:
+                    assert type(scale) is float
+                    assert scale == pytest.approx(max_norm / exact_norm(grads), rel=1e-6)
+                oracle_adam(ref_params, [g.copy() for g in grads], ref_state, scale)
                 tr.adam_update(params, grads, state, scale)
-                for got, want in zip(params, ref_p):
-                    assert got.data.tobytes() == want.tobytes()
-                for got, want in zip(state.m + state.v, ref_m + ref_v):
+                for got, want in zip(params, ref_params):
+                    assert got.data.tobytes() == want.data.tobytes()
+                for got, want in zip(state.m + state.v, ref_state.m + ref_state.v):
                     assert got.tobytes() == want.tobytes()
         return state
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_blocked_norm_is_bitwise_the_whole_array_sum(self, dtype):
+    @pytest.mark.parametrize("max_norm", [1e-3, 1e12], ids=["clipped", "unclipped"])
+    def test_efficient_form_matches_textbook_adam(self, max_norm):
+        # float64, five steps, the clip firing on each (1e-3) or never
+        # (1e12).  Gradient magnitudes run down to 1e-9, where
+        # sqrt(v_hat) is of the order of eps, so the step is only right
+        # with eps * sqrt(1 - b2^t) in place of eps.  Parameters start at
+        # zero and each element's gradient keeps its sign, so the
+        # parameters are sums of same-signed steps and compare relatively.
+        rng = np.random.default_rng(15)
+        shapes = [(tr.ADAM_BLOCK + 40,), (30, 7), (5,)]
+        lr, b1, b2, eps = 1e-3, 0.5, 0.999, 1e-8
+        base = [rng.choice([-1.0, 1.0], s) * 10.0 ** rng.uniform(-9, 1, s) for s in shapes]
+        params = [Tensor(np.zeros(s)) for s in shapes]
+        state = tr.AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        ref_p, ref_m, ref_v = ([np.zeros(s) for s in shapes] for _ in range(3))
+        for t in range(1, 6):
+            grads = [b * rng.uniform(0.5, 2.0, b.shape) for b in base]
+            norm = exact_norm(grads)
+            assert (norm > max_norm) == (max_norm < 1.0)
+            clipped = [g * min(1.0, max_norm / norm) for g in grads]
+            tr.adam_update(params, grads, state, tr.clip_global_norm(grads, max_norm))
+            for p, g, m, v in zip(ref_p, clipped, ref_m, ref_v):
+                textbook_adam_step(p, g, m, v, t, lr, b1, b2, eps)
+            for got, want in zip([p.data for p in params] + state.m + state.v, ref_p + ref_m + ref_v):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)], ids=["float32", "float64"])
+    def test_norm_is_within_rounding_of_the_exact_sum(self, dtype, rtol):
+        # Read back from the factor, as max_norm / factor, for each array
+        # alone and for all of them as one group.
         rng = np.random.default_rng(12)
         sizes = [*range(1, 20), *range(120, 137)]
         for edge in (tr.ADAM_BLOCK, 2 * tr.ADAM_BLOCK, 5 * tr.ADAM_BLOCK):
             sizes += [edge + d for d in (-9, -8, -7, -1, 0, 1, 7, 8, 9, 16, 17)]
-        for n in sizes:
-            g = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
-            assert float(tr._sum_of_squares(g)) == float((g * g).sum()), n
+        grads = [(rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3)).astype(dtype) for n in sizes]
+        max_norm = 1e-30
+        for group in [[g] for g in grads] + [grads]:
+            norm = max_norm / tr.clip_global_norm(group, max_norm)
+            assert norm == pytest.approx(exact_norm(group), rel=rtol), len(group[0])
+
+    def test_float32_group_with_a_norm_near_1e18_updates_as_float64(self):
+        # A clip factor of ~5e-18 on float32 gradients of ~1e15-1e16: the
+        # step must neither underflow nor lose precision.  The oracle is
+        # textbook Adam in float64 on the same gradients.
+        rng = np.random.default_rng(16)
+        shapes = [(tr.ADAM_BLOCK + 3,), (7, 5)]
+        lr, b1, b2, eps = 1e-3, 0.5, 0.999, 1e-8
+        base = [rng.choice([-1.0, 1.0], s) * rng.uniform(0.5, 2.0, s) for s in shapes]
+        params = [Tensor(np.zeros(s, np.float32)) for s in shapes]
+        state = tr.AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        ref_p, ref_m, ref_v = ([np.zeros(s) for s in shapes] for _ in range(3))
+        for t in range(1, 6):
+            grads = [(b * rng.uniform(0.5, 2.0, b.shape)).astype(np.float32) for b in base]
+            to_1e18 = np.float32(1e18 / exact_norm(grads))
+            grads = [g * to_1e18 for g in grads]
+            scale = tr.clip_global_norm(grads, 5.0)
+            assert scale == pytest.approx(5e-18, rel=1e-5)
+            clipped = [g.astype(np.float64) * (5.0 / exact_norm(grads)) for g in grads]
+            tr.adam_update(params, grads, state, scale)
+            for p, g, m, v in zip(ref_p, clipped, ref_m, ref_v):
+                textbook_adam_step(p, g, m, v, t, lr, b1, b2, eps)
+        for got, want in zip(params, ref_p):
+            np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=0)
 
     def test_update_keeps_every_parameter_array(self):
         rng = np.random.default_rng(13)
@@ -191,18 +267,33 @@ class TestAdam:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             tr.adam_update([p], [g], state)
 
+    def test_infinite_gradient_with_the_clip_firing_raises(self):
+        # The norm is inf, so the factor is 0, and inf * 0 is NaN.
+        rng = np.random.default_rng(17)
+        params = [Tensor(rng.standard_normal(s).astype(np.float32)) for s in ((tr.ADAM_BLOCK + 1,), (9,))]
+        state = tr.AdamState(params, lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8)
+        grads = [rng.standard_normal(p.shape).astype(np.float32) for p in params]
+        grads[1][4] = np.inf
+        scale = tr.clip_global_norm(grads, 1.0)
+        assert scale == 0.0
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            tr.adam_update(params, grads, state, scale)
+
     def test_global_norm_clipping(self):
         # The joint norm is 5: the factor scales it to 1 and leaves the
-        # gradients as they are; within max_norm there is no factor.
-        grads = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
-        scale = tr.clip_global_norm(grads, 1.0)
-        assert type(scale) is np.float64 and scale == np.float64(1.0) / np.float64(5.0)
-        np.testing.assert_array_equal(grads[0], [3.0, 0.0])
-        np.testing.assert_array_equal(grads[1], [0.0, 4.0])
-        scaled = [g * scale for g in grads]
-        assert np.sqrt(sum((g * g).sum() for g in scaled)) == pytest.approx(1.0)
-        np.testing.assert_allclose(scaled[0], [0.6, 0.0])
-        assert tr.clip_global_norm(grads, 5.0) is None
+        # gradients as they are; within max_norm there is no factor.  The
+        # factor is a Python float in either dtype.
+        for dtype in (np.float64, np.float32):
+            grads = [np.array([3.0, 0.0], dtype), np.array([0.0, 4.0], dtype)]
+            scale = tr.clip_global_norm(grads, 1.0)
+            assert type(scale) is float and scale == 1.0 / 5.0
+            np.testing.assert_array_equal(grads[0], [3.0, 0.0])
+            np.testing.assert_array_equal(grads[1], [0.0, 4.0])
+            scaled = [g * scale for g in grads]
+            assert all(g.dtype == dtype for g in scaled)
+            assert np.sqrt(sum((g * g).sum() for g in scaled)) == pytest.approx(1.0)
+            np.testing.assert_allclose(scaled[0], [0.6, 0.0])
+            assert tr.clip_global_norm(grads, 5.0) is None
 
 
 class TestTrainStep:
@@ -308,15 +399,22 @@ class TestTrainStep:
         assert all(t[3] == {np.dtype(np.float64)} for t in tensors if t[0] in mixture_ops)
 
     def test_two_steps_equal_the_whole_array_oracle(self, monkeypatch):
-        # The oracle clip scales every gradient array in place; the oracle
-        # Adam then updates whole arrays by the textbook formula.
+        # The oracle clip takes one dot per whole gradient array (every
+        # TINY_ARCH array fits one leaf, so the factor is the same); the
+        # oracle Adam then updates whole arrays.
         states = []
         fired = []
+
+        def recording_clip(grads, max_norm):
+            scale = oracle_clip(grads, max_norm)
+            fired.append(scale is not None)
+            return scale
+
         for use_oracle in (False, True):
             state, batch = self._state_and_batch(5)
             with monkeypatch.context() as patch:
                 if use_oracle:
-                    patch.setattr(tr, "clip_global_norm", lambda g, n: fired.append(oracle_clip(g, n)))
+                    patch.setattr(tr, "clip_global_norm", recording_clip)
                     patch.setattr(tr, "adam_update", oracle_adam)
                 for _ in range(2):
                     tr.train_step(state, batch, tr.TrainConfig(batch_size=8))
@@ -364,9 +462,9 @@ class TestGraphSize:
     def test_one_train_step(self):
         state, design = self._state_and_design()
         # One dense node per layer: encoder 3, decoder 3, discriminator
-        # 2 three times, auxiliary encoder 3, estimator 2.  The other 49
+        # 2 three times, auxiliary encoder 3, estimator 2.  The other 48
         # are the input, the latent cast, the losses and the mixture head.
-        assert nodes_made_by(lambda: tr.train_step(state, design, TINY_CONFIG)) == 17 + 49
+        assert nodes_made_by(lambda: tr.train_step(state, design, TINY_CONFIG)) == 17 + 48
 
     @pytest.mark.parametrize("mode, layers, others", [
         # input, output scale, difference and row norm
