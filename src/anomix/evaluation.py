@@ -9,7 +9,9 @@ distance is the primary score).
 
 AUC is computed twice, by the Mann-Whitney rank statistic (ties count
 one half) and by trapezoidal integration of the threshold-sweep ROC
-curve; the two must agree to 1e-12 or scoring aborts.
+curve; the two must agree to 1e-12 or scoring aborts.  Each route is a
+few numpy calls over one stable sort of the scores, with ties found as
+runs of equal sorted values.
 """
 
 from __future__ import annotations
@@ -118,15 +120,11 @@ def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_anom = int((labels == LABEL_ANOMALOUS).sum())
     n_norm = int((labels == LABEL_NORMAL).sum())
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
+    # A run of c tied scores starting at sorted index i shares rank i + (c + 1) / 2.
+    # NaNs stay untied, as in _roc_points.
+    _, first, counts = np.unique(scores[order], return_index=True, return_counts=True, equal_nan=False)
     ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0   # average rank, half-integer
-        i = j + 1
+    ranks[order] = np.repeat(first + (counts - 1) / 2.0 + 1.0, counts)
     rank_sum = float(ranks[labels == LABEL_ANOMALOUS].sum())
     u = rank_sum - n_anom * (n_anom + 1) / 2.0
     return u / (n_anom * n_norm)
@@ -137,21 +135,12 @@ def _roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, flo
     n_anom = int((labels == LABEL_ANOMALOUS).sum())
     n_norm = int((labels == LABEL_NORMAL).sum())
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        for k in range(i, j + 1):
-            if labels[order[k]] == LABEL_ANOMALOUS:
-                tp += 1
-            else:
-                fp += 1
-        points.append((fp / n_norm, tp / n_anom))
-        i = j + 1
-    return points
+    swept = scores[order]
+    tp = np.cumsum(labels[order] == LABEL_ANOMALOUS)
+    fp = np.arange(1, len(scores) + 1) - tp
+    # One point after the last sample of each run of tied scores.
+    last = np.flatnonzero(np.append(swept[1:] != swept[:-1], True))
+    return [(0.0, 0.0), *zip((fp[last] / n_norm).tolist(), (tp[last] / n_anom).tolist())]
 
 
 def auc(samples: list[ScoredSample]) -> RocResult:

@@ -45,15 +45,6 @@ class LossBreakdown:
     estimation: float
     total: float
 
-    def composed(self, weights: LossWeights) -> float:
-        """Recompute the generator total from the parts."""
-        return (
-            weights.w_image * self.image_reconstruction
-            + weights.w_adversarial * self.adversarial_generator
-            + weights.w_latent * self.latent_reconstruction
-            + weights.w_estimation * self.estimation
-        )
-
 
 def image_reconstruction_loss(x: Tensor, x_rec: Tensor) -> Tensor:
     """Mean per-sample L1 distance between input and reconstruction."""

@@ -1,4 +1,4 @@
-"""Gaussian-mixture estimation, sample energy, and the EM M-step oracle.
+"""Gaussian-mixture estimation, sample energy, and their plain-numpy oracles.
 
 The mixture is held as stacked tensors: weights [K], means [K x d] and
 covariances [K x d x d].  Two routes compute the same mixture statistics:
@@ -14,7 +14,11 @@ covariances [K x d x d].  Two routes compute the same mixture statistics:
 Energies are computed in log space with log-sum-exp over the batched
 component log densities (``autodiff.gaussian_log_densities``);
 evaluating the mixture density directly underflows for samples far
-from every component.
+from every component.  ``mixture_log_pdf`` is their one naive oracle:
+also log-sum-exp, so far samples stay finite, but built from ``slogdet``
+and ``inv`` rather than a Cholesky factor, so it shares no route with
+``gaussian_log_densities``.  ``verify`` checks energies against it at
+1e-10.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .errors import InvalidInputError, NumericError
 
 DEFAULT_COV_EPS = 1e-6
 DEGENERATE_MASS = 1e-12
-LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -45,10 +48,6 @@ class GmmParams:
     alpha: Tensor               # [K]
     means: Tensor               # [K x d]
     covariances: Tensor         # [K x d x d]
-
-    @property
-    def n_components(self) -> int:
-        return self.alpha.shape[0]
 
     @classmethod
     def from_arrays(cls, alpha: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> "GmmParams":
@@ -68,13 +67,13 @@ class GmmParams:
             raise NumericError(f"mixture weights invalid: {alpha}")
         if not np.all(np.isfinite(means)):
             raise NumericError("non-finite mixture mean")
-        for k in range(self.n_components):
-            if np.max(np.abs(covs[k] - covs[k].T)) > atol:
-                raise NumericError(f"covariance {k} is not symmetric")
-            try:
-                np.linalg.cholesky(covs[k])
-            except np.linalg.LinAlgError as err:
-                raise NumericError(f"covariance {k} is not positive definite") from err
+        asymmetric = np.any(np.abs(covs - covs.transpose(0, 2, 1)) > atol, axis=(1, 2))
+        if asymmetric.any():
+            raise NumericError(f"covariance {int(np.argmax(asymmetric))} is not symmetric")
+        try:
+            np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError as err:
+            raise NumericError("a covariance is not positive definite") from err
 
 
 def estimate_gmm(z: Tensor, gamma: Tensor, eps: float = DEFAULT_COV_EPS) -> GmmParams:
@@ -135,28 +134,27 @@ def estimation_loss(
 # plain-numpy oracles: the mixture density and the EM M-step
 # ---------------------------------------------------------------------------
 
-def _log_gaussian(z: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = z.shape[1]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as err:
-        raise NumericError("covariance is not positive definite") from err
-    solved = np.linalg.solve(chol, (z - mean).T)
-    quad = (solved * solved).sum(axis=0)
-    logdet = 2.0 * np.log(np.diagonal(chol)).sum()
-    return -0.5 * (quad + d * LOG_TWO_PI + logdet)
-
-
 def mixture_log_pdf(z: np.ndarray, alpha: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Log density of the mixture at each row of z, via log-sum-exp."""
+    """Log density of the mixture at each row of z [n x d], in float64.
+
+        log Σ_k alpha_k N(z; mean_k, cov_k),
+        log N = -(diffᵀ inv(cov_k) diff + log det(2π cov_k)) / 2
+
+    The log determinant comes from ``slogdet`` and the quadratic form
+    from ``inv``, with no Cholesky factor, and the components are added
+    by log-sum-exp.  A zero weight drops its component.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    sign, logdet = np.linalg.slogdet(2.0 * np.pi * covs)
+    if np.any(sign <= 0):
+        raise NumericError("covariance is not positive definite")
+    diff = z[None, :, :] - means[:, None, :]                     # [K x n x d]
+    quad = ((diff @ np.linalg.inv(covs)) * diff).sum(axis=2)     # [K x n]
     with np.errstate(divide="ignore"):
-        logs = np.stack(
-            [np.log(alpha[k]) + _log_gaussian(z, means[k], covs[k]) for k in range(len(alpha))],
-            axis=1,
-        )
-    m = logs.max(axis=1, keepdims=True)
+        logs = np.log(alpha)[:, None] - 0.5 * (quad + logdet[:, None])
+    m = logs.max(axis=0)
     m[~np.isfinite(m)] = 0.0
-    return (m + np.log(np.exp(logs - m).sum(axis=1, keepdims=True))).reshape(-1)
+    return m + np.log(np.exp(logs - m).sum(axis=0))
 
 
 def _m_step(z: np.ndarray, resp: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

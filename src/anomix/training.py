@@ -25,7 +25,8 @@ section 2 (arXiv 1412.6980): the bias corrections go into the step size
 and epsilon, so no block is divided by them.  Every coefficient is a
 Python float, which under numpy's promotion rules takes the dtype of the
 array it meets, so a float32 block is computed in float32 throughout;
-only the norm's per-leaf sums are added in float64.
+only the norm's per-leaf sums are added in float64, and its dots are
+taken again in float64 when a float32 one overflows.
 
 Everything is deterministic in (seed, config, data): initialization,
 shuffling, and updates derive from one seeded generator, so two runs
@@ -74,6 +75,8 @@ class TrainConfig:
         # Every check is written as "not <what must hold>", so a NaN fails it.
         if not self.epochs >= 0:
             raise InvalidConfigError("epochs must be >= 0")
+        if not self.seed >= 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.batch_size >= 2:
             raise InvalidConfigError("batch_size must be >= 2 (mixture statistics need 2 samples)")
         positive = {"lr_generator": self.lr_generator, "lr_discriminator": self.lr_discriminator,
@@ -192,6 +195,19 @@ def _cut_blocks(sizes) -> list[list[tuple[int, int, int]]]:
     return blocks
 
 
+def _sum_of_squares(grads, dtype=None) -> float:
+    """Σ g² over a gradient group: read-only BLAS dots over leaves of at
+    most ``ADAM_BLOCK`` elements, each leaf in ``dtype`` (None keeps the
+    array's own), added as Python floats."""
+    total = 0.0
+    for g in grads:
+        flat = g.reshape(-1)
+        for start in range(0, flat.size, ADAM_BLOCK):
+            leaf = np.asarray(flat[start:start + ADAM_BLOCK], dtype)
+            total += float(np.dot(leaf, leaf))
+    return total
+
+
 def clip_global_norm(grads, max_norm: float) -> float | None:
     """The factor that scales the gradient group to joint norm
     ``max_norm``, or None when its norm is already at most ``max_norm``.
@@ -203,18 +219,16 @@ def clip_global_norm(grads, max_norm: float) -> float | None:
     the leaves are added as Python floats.  The norm is within ~1e-7
     relative of the exact sum for float32 gradients and ~1e-15 for
     float64.  The factor is a Python float, so it scales a float32
-    gradient in float32.  A non-finite gradient makes the norm NaN
-    (None) or infinite (a factor of 0), and ``adam_update`` then raises
-    on the NaN it produces.  A finite float32 group whose squared norm
-    overflows float32 (a norm above ~1.8e19) also gives a factor of 0,
-    with no error.
+    gradient in float32.  A finite float32 group whose squared norm
+    overflows float32 (a norm above ~1.8e19) has its dots taken again in
+    float64, so it gets its true factor.  A non-finite gradient makes
+    the norm NaN (None) or infinite (a factor of 0), and ``adam_update``
+    then raises on the NaN it produces.
     """
-    total = 0.0
-    for g in grads:
-        flat = g.reshape(-1)
-        for start in range(0, flat.size, ADAM_BLOCK):
-            leaf = flat[start:start + ADAM_BLOCK]
-            total += float(np.dot(leaf, leaf))
+    with np.errstate(over="ignore"):
+        total = _sum_of_squares(grads)
+    if not math.isfinite(total):
+        total = _sum_of_squares(grads, np.float64)
     norm = math.sqrt(total)
     if norm > max_norm:
         return float(max_norm) / norm

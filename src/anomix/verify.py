@@ -13,8 +13,9 @@ maximum observed error:
   that it names every public op returning a ``Tensor``;
 * the membership-statistics cross-check between the graph route and the
   classical EM M-step (1e-12);
-* sample energies against a naive determinant-and-inverse evaluation of
-  the mixture density (1e-10).
+* sample energies against ``mixture.mixture_log_pdf``, the naive
+  mixture density from ``slogdet`` and ``inv`` in log space, with no
+  Cholesky factor (1e-10).
 
 Everything runs in float64, the four big networks included, so the
 tolerances measure the maths and not float32 rounding.  All instances
@@ -276,20 +277,12 @@ def energy_oracle_checks(seed: int = 0, instances: int = 100) -> CheckResult:
         alpha = rng.uniform(0.2, 1.0, size=k)
         alpha /= alpha.sum()
         means = rng.uniform(-2, 2, size=(k, d))
-        covs = np.empty((k, d, d))
-        for j in range(k):
-            m = rng.standard_normal((d, d))
-            covs[j] = m @ m.T + 0.5 * np.eye(d)
-        params = mx.GmmParams.from_arrays(alpha, means, covs)
-        z = rng.uniform(-3, 3, size=d)
-        got = mx.energy_batch(Tensor(z[None, :]), params).item()
-        # naive density: plain determinant and inverse, no log-sum-exp
-        density = 0.0
-        for j in range(k):
-            diff = z - means[j]
-            quad = diff @ np.linalg.inv(covs[j]) @ diff
-            density += alpha[j] * np.exp(-0.5 * quad) / np.sqrt(np.linalg.det(2.0 * np.pi * covs[j]))
-        worst = max(worst, abs(got - (-np.log(density))))
+        m = rng.standard_normal((k, d, d))
+        covs = m @ m.transpose(0, 2, 1) + 0.5 * np.eye(d)
+        z = rng.uniform(-3, 3, size=(1, d))
+        got = mx.energy_batch(Tensor(z), mx.GmmParams.from_arrays(alpha, means, covs)).item()
+        want = -mx.mixture_log_pdf(z, alpha, means, covs).item()
+        worst = max(worst, abs(got - want))
     return CheckResult("energy vs naive mixture density", ENERGY_TOL, worst)
 
 

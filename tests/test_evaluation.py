@@ -1,4 +1,4 @@
-"""Scoring semantics and AUC vs the pairwise brute-force oracle."""
+"""Scoring semantics, and AUC and ROC points vs brute-force oracles."""
 
 import csv
 
@@ -44,6 +44,17 @@ def pairwise_auc(samples):
     return wins / (len(anom) * len(norm))
 
 
+def sweep_roc(samples):
+    """O(n^2) oracle: one (fpr, tpr) point per distinct score, from the
+    highest down, counting the samples scored at or above it."""
+    anom = [s.score for s in samples if s.label == LABEL_ANOMALOUS]
+    norm = [s.score for s in samples if s.label == LABEL_NORMAL]
+    points = [(0.0, 0.0)]
+    for t in sorted({s.score for s in samples}, reverse=True):
+        points.append((sum(n >= t for n in norm) / len(norm), sum(a >= t for a in anom) / len(anom)))
+    return points
+
+
 class TestAuc:
     def test_perfect_separation(self):
         samples = make_samples([0.9, 0.8, 0.2, 0.1], "aann")
@@ -67,7 +78,9 @@ class TestAuc:
             labels[0] = "a"
             labels[1] = "n"
         samples = make_samples(scores, labels)
-        assert ev.auc(samples).auc == pairwise_auc(samples)
+        result = ev.auc(samples)
+        assert result.auc == pairwise_auc(samples)
+        assert result.points == sweep_roc(samples)
 
     @pytest.mark.parametrize("transform", [np.exp, lambda s: 3.5 * s + 11.0])
     def test_invariant_under_monotone_transforms(self, transform):

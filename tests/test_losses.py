@@ -92,15 +92,3 @@ class TestTotalComposition:
         assert self._total(list(2.0 * parts), DEFAULTS) == pytest.approx(
             2.0 * self._total(list(parts), DEFAULTS), rel=1e-12
         )
-
-    def test_breakdown_composition_identity(self):
-        parts = [0.3, 0.7, 0.2, 4.0]
-        bd = ls.LossBreakdown(
-            image_reconstruction=parts[0],
-            adversarial_generator=parts[1],
-            adversarial_discriminator=1.1,
-            latent_reconstruction=parts[2],
-            estimation=parts[3],
-            total=self._total(parts, DEFAULTS),
-        )
-        assert abs(bd.total - bd.composed(DEFAULTS)) < 1e-12

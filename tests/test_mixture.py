@@ -7,7 +7,7 @@ import pytest
 
 from anomix import mixture as mx
 from anomix.autodiff import Tensor
-from anomix.errors import InvalidInputError
+from anomix.errors import InvalidInputError, NumericError
 
 EPS = mx.DEFAULT_COV_EPS
 
@@ -181,6 +181,50 @@ class TestEnergy:
         assert integral == pytest.approx(1.0, abs=1e-2)
 
 
+def random_mixture(rng, k, d):
+    alpha = rng.uniform(0.2, 1.0, size=k)
+    m = rng.standard_normal((k, d, d))
+    return alpha / alpha.sum(), rng.uniform(-2, 2, size=(k, d)), m @ m.transpose(0, 2, 1) + 0.5 * np.eye(d)
+
+
+class TestMixtureLogPdf:
+    """``mixture_log_pdf``, the naive density that energies are checked against."""
+
+    @pytest.mark.parametrize("shift", [0.0, 60.0])
+    def test_matches_energy_batch(self, shift):
+        # At a shift of 60 every sample is far from every mean, where the
+        # density itself underflows to 0 but its log does not.
+        rng = np.random.default_rng(640)
+        for k, d in [(1, 1), (3, 2), (4, 5)]:
+            alpha, means, covs = random_mixture(rng, k, d)
+            z = rng.uniform(-3, 3, size=(20, d)) + shift
+            want = mx.energy_batch(Tensor(z), mx.GmmParams.from_arrays(alpha, means, covs)).data
+            np.testing.assert_allclose(-mx.mixture_log_pdf(z, alpha, means, covs), want, rtol=0, atol=1e-10)
+
+    def test_zero_weight_drops_its_component(self):
+        rng = np.random.default_rng(641)
+        alpha, means, covs = random_mixture(rng, 3, 2)
+        alpha = np.array([alpha[0] + alpha[1], 0.0, alpha[2]])
+        z = rng.uniform(-3, 3, size=(10, 2))
+        kept = [0, 2]
+        np.testing.assert_allclose(mx.mixture_log_pdf(z, alpha, means, covs),
+                                   mx.mixture_log_pdf(z, alpha[kept], means[kept], covs[kept]),
+                                   rtol=0, atol=1e-12)
+
+    def test_needs_no_cholesky_factor(self, monkeypatch):
+        # The oracle must not share the production route's factorization.
+        rng = np.random.default_rng(642)
+        alpha, means, covs = random_mixture(rng, 3, 3)
+        z = rng.uniform(-3, 3, size=(10, 3))
+        want = mx.energy_batch(Tensor(z), mx.GmmParams.from_arrays(alpha, means, covs)).data
+
+        def no_cholesky(*args, **kwargs):
+            raise AssertionError("mixture_log_pdf called np.linalg.cholesky")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        np.testing.assert_allclose(-mx.mixture_log_pdf(z, alpha, means, covs), want, rtol=0, atol=1e-10)
+
+
 class TestEstimationLoss:
     def test_penalty_only_unit_diagonals(self):
         k, d = 3, 4
@@ -214,3 +258,48 @@ class TestCrossCheck:
         z = np.array([[1.0], [3.0]])
         gamma = np.ones((2, 1))
         assert mx.cross_check_estimation(z, gamma) <= 1e-12
+
+
+class TestValidate:
+    """Each invariant ``GmmParams.validate`` checks, broken on its own."""
+
+    @staticmethod
+    def _valid():
+        alpha = np.array([0.3, 0.7])
+        means = np.array([[0.0, 1.0], [2.0, -1.0]])
+        covs = np.stack([np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])])
+        return alpha, means, covs
+
+    def test_valid_params_pass(self):
+        mx.GmmParams.from_arrays(*self._valid()).validate()
+
+    @pytest.mark.parametrize("alpha", [[1.2, -0.2], [0.5, 0.4], [0.7, 0.7]])
+    def test_negative_or_unnormalised_weights_raise(self, alpha):
+        _, means, covs = self._valid()
+        with pytest.raises(NumericError, match="weights"):
+            mx.GmmParams.from_arrays(np.array(alpha), means, covs).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_mean_raises(self, value):
+        alpha, means, covs = self._valid()
+        means[1, 0] = value
+        # A Tensor refuses a non-finite value when it is built ...
+        with pytest.raises(NumericError):
+            mx.GmmParams.from_arrays(alpha, means, covs)
+        # ... so validate sees one only when it is written in afterwards.
+        params = mx.GmmParams.from_arrays(*self._valid())
+        params.means.data[1, 0] = value
+        with pytest.raises(NumericError, match="mean"):
+            params.validate()
+
+    def test_asymmetric_covariance_raises(self):
+        alpha, means, covs = self._valid()
+        covs[1, 0, 1] += 1e-3
+        with pytest.raises(NumericError, match="covariance 1 is not symmetric"):
+            mx.GmmParams.from_arrays(alpha, means, covs).validate()
+
+    def test_indefinite_covariance_raises(self):
+        alpha, means, covs = self._valid()
+        covs[0] = np.diag([1.0, -1.0])
+        with pytest.raises(NumericError, match="not positive definite"):
+            mx.GmmParams.from_arrays(alpha, means, covs).validate()

@@ -279,6 +279,18 @@ class TestAdam:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             tr.adam_update(params, grads, state, scale)
 
+    def test_float32_squared_norm_overflow_still_clips(self):
+        # Each 1e20 squares past float32's ~3.4e38, but the norm, 2e20,
+        # is finite: the dots are taken again in float64, so the factor
+        # is the true one and the step moves the parameters.
+        p = Tensor(np.zeros(4, np.float32))
+        state = tr.AdamState([p], lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8)
+        g = np.full(4, 1e20, np.float32)
+        scale = tr.clip_global_norm([g], 5.0)
+        assert scale == pytest.approx(5.0 / 2e20, rel=1e-6)
+        tr.adam_update([p], [g], state, scale)
+        np.testing.assert_allclose(p.data, -1e-3, rtol=1e-4)
+
     def test_global_norm_clipping(self):
         # The joint norm is 5: the factor scales it to 1 and leaves the
         # gradients as they are; within max_norm there is no factor.  The
@@ -341,7 +353,10 @@ class TestTrainStep:
         cfg = tr.TrainConfig(batch_size=8)
         for _ in range(5):
             bd = tr.train_step(state, batch, cfg)
-            assert abs(bd.total - bd.composed(cfg.weights)) < 1e-12
+            w = cfg.weights
+            composed = (w.w_image * bd.image_reconstruction + w.w_adversarial * bd.adversarial_generator
+                        + w.w_latent * bd.latent_reconstruction + w.w_estimation * bd.estimation)
+            assert abs(bd.total - composed) < 1e-12
 
     def test_batch_of_one_rejected(self):
         state, batch = self._state_and_batch()
@@ -594,6 +609,7 @@ class TestConfigValidation:
         dict(checkpoint_every=0),
         dict(epochs=float("nan")),
         dict(batch_size=float("nan")),
+        dict(seed=-1),
         dict(checkpoint_every=float("nan")),
         dict(lr_generator=float("nan")),
         dict(lr_discriminator=float("inf")),
