@@ -29,27 +29,39 @@ operand's dtype, so scaling a float32 tensor keeps it float32, and it
 must be finite in that dtype.  An op on two tensors of different dtypes
 computes in float64 (numpy's promotion), and a node's cotangent is
 always cast to that node's dtype, so the float32 side of such an op
-still gets a float32 gradient.  ``cast`` converts explicitly and is differentiable.  The
-scalar reductions ``mean`` and ``tensor_sum`` accumulate in float64,
-so every loss is a float64 scalar.
+still gets a float32 gradient.  ``cast`` converts explicitly and is
+differentiable.  Every op that reduces to a scalar (``tensor_sum``, the
+distances, ``binary_cross_entropy``, ``inverse_diagonal_sum`` and
+``weighted_sum``) accumulates in float64, so every loss is a float64
+scalar.
 
 Shape discipline is strict: binary elementwise ops require equal shapes,
 the only implicit broadcast is scalar-with-tensor.  Everything else is a
-named structured op (``add_rowvec``, ``dense``, ``diag_part``, ...) whose
-shape contract is part of its signature.  Every forward result is
-checked for NaN/Inf and raises NumericError immediately, so a diverging
-computation fails at the op that produced it rather than at the loss.
+named structured op (``dense``, ``mixture_moments``, ``mixture_energy``,
+...) whose shape contract is part of its signature.  Every forward
+result is checked for NaN/Inf and raises NumericError immediately, so a
+diverging computation fails at the op that produced it rather than at
+the loss.
 
-A network layer is one node: ``dense`` computes act(x @ w + b) in the
-product's own buffer, where a chain of matmul, bias and activation
-nodes would pay Python's per-node cost three times (operator fusion, as
-in TVM, Chen et al., arXiv 1802.04799).  Its values and cotangents are
-bitwise those of the separate numpy steps.
+A network layer is one node, and so is each term of the training
+objective.  ``dense`` computes act(x @ w + b) in the product's own
+buffer, where a chain of matmul, bias and activation nodes would pay
+Python's per-node cost three times (operator fusion, as in TVM, Chen et
+al., arXiv 1802.04799).  In the same way ``l1_distance``,
+``l2_distance``, ``binary_cross_entropy``, ``mixture_energy``,
+``inverse_diagonal_sum`` and ``weighted_sum`` each replace a chain of
+elementwise and reduction nodes.  Each takes the numpy steps of the
+chain it replaced, so its values and cotangents are bitwise the chain's,
+subgradients at kinks and clamps included.  The one exception is
+``weighted_sum``'s value, which adds the terms left to right where the
+chain added them in pairs.  The elementwise ops left (``add``, ``sub``,
+``mul``, ``cast``) and ``tensor_sum`` serve as combinators.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -204,9 +216,9 @@ def _binary(a, b, fwd, da, db, name: str) -> Tensor:
     x = a.data if isinstance(a, Tensor) else _scalar_operand(a, b.data.dtype, name)
     y = b.data if isinstance(b, Tensor) else _scalar_operand(b, a.data.dtype, name)
     _check_binary_shapes(x, y, name)
-    # Overflow/zero-division surface as NumericError via the finiteness
-    # check in the constructor; numpy's own warning is redundant here.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # Overflow surfaces as NumericError via the finiteness check in the
+    # constructor; numpy's own warning is redundant here.
+    with np.errstate(over="ignore"):
         out = Tensor(fwd(x, y), _parents=tuple(t for t in (a, b) if isinstance(t, Tensor)), _op=name)
 
     def bwd(g: np.ndarray) -> None:
@@ -229,54 +241,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(
-        a, b,
-        lambda x, y: x / y,
-        lambda g, x, y: g / y,
-        lambda g, x, y: -g * x / (y * y),
-        "div",
-    )
-
-
-def _unary(a: Tensor, fwd, dfn, name: str) -> Tensor:
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = Tensor(fwd(a.data), _parents=(a,), _op=name)
-    y = out.data    # not ``out``: a closure holding its own node makes the graph a cycle
-
-    def bwd(g: np.ndarray) -> None:
-        if a._needed:
-            a._accum_cot(dfn(g, a.data, y))
-
-    out._backward_fn = bwd
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    return _unary(a, lambda x: -x, lambda g, x, y: -g, "neg")
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise NumericError("log of non-positive value")
-    return _unary(a, np.log, lambda g, x, y: g / x, "log")
-
-
-def absolute(a: Tensor) -> Tensor:
-    # Subgradient of |x| at 0 is taken as 0.
-    return _unary(a, np.abs, lambda g, x, y: g * np.sign(x), "abs")
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    # Gradient passes only strictly inside the interval.
-    return _unary(
-        a,
-        lambda x: np.clip(x, lo, hi),
-        lambda g, x, y: g * ((x > lo) & (x < hi)),
-        "clip",
-    )
 
 
 def cast(a: Tensor, dtype) -> Tensor:
@@ -313,43 +277,107 @@ def tensor_sum(a: Tensor) -> Tensor:
     return out
 
 
-def mean(a: Tensor) -> Tensor:
-    """Mean of every entry, accumulated in float64."""
-    n = a.data.size
-    out = Tensor(a.data.mean(dtype=np.float64), _parents=(a,), _op="mean")
+# ---------------------------------------------------------------------------
+# objective terms
+# ---------------------------------------------------------------------------
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """Σ_i weights[i] · terms[i] over scalar tensors, as one float64 node.
+
+    The weights are Python floats, constants rather than nodes, and must
+    be finite.  The terms are added left to right.  Term i gets the
+    cotangent g · weights[i].
+    """
+    terms, weights = tuple(terms), tuple(float(w) for w in weights)
+    if len(terms) != len(weights) or any(t.ndim != 0 for t in terms):
+        raise ShapeError(f"weighted_sum: {len(weights)} weights for terms of shapes {[t.shape for t in terms]}")
+    if not all(math.isfinite(w) for w in weights):
+        raise NumericError(f"weighted_sum: weights {list(weights)} are not all finite")
+    out = Tensor(sum(w * float(t.data) for t, w in zip(terms, weights)), _parents=terms, _op="weighted_sum")
 
     def bwd(g: np.ndarray) -> None:
-        if a._needed:
-            a._accum_cot(np.full(a.shape, g / n, dtype=a.data.dtype))
+        for t, w in zip(terms, weights):
+            if t._needed:
+                t._accum_cot(g * w)
 
     out._backward_fn = bwd
     return out
 
 
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    if not (0 <= axis < a.ndim):
-        raise ShapeError(f"sum_axis: axis {axis} out of range for shape {a.shape}")
-    out = Tensor(a.data.sum(axis=axis), _parents=(a,), _op="sum_axis")
+def _check_batches(a: Tensor, b: Tensor, op: str) -> None:
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"{op}: expected two [n x d] batches, got {a.shape} and {b.shape}")
+
+
+def l1_distance(a: Tensor, b: Tensor) -> Tensor:
+    """Mean over the batch of the per-sample sum of absolute differences.
+
+    Each row's sum is taken in the operands' dtype and the mean in
+    float64.  With n rows, a gets the cotangent g · sign(a - b) / n and
+    b its negative, so the subgradient where a and b agree is 0.
+    """
+    _check_batches(a, b, "l1_distance")
+    diff = a.data - b.data
+    out = Tensor(np.abs(diff).sum(axis=1).mean(dtype=np.float64), _parents=(a, b), _op="l1_distance")
 
     def bwd(g: np.ndarray) -> None:
+        cot = np.sign(diff) * np.asarray(g / diff.shape[0], dtype=diff.dtype)
         if a._needed:
-            a._accum_cot(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+            a._accum_cot(cot)
+        if b._needed:
+            b._accum_cot(-cot)
 
     out._backward_fn = bwd
     return out
 
 
-def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a vector [d] to every row of a matrix [n x d]."""
-    if x.ndim != 2 or v.ndim != 1 or x.shape[1] != v.shape[0]:
-        raise ShapeError(f"add_rowvec: incompatible shapes {x.shape} and {v.shape}")
-    out = Tensor(x.data + v.data[None, :], _parents=(x, v), _op="add_rowvec")
+def l2_distance(a: Tensor, b: Tensor) -> Tensor:
+    """Mean over the batch of the per-sample Euclidean distance.
+
+    Each row's norm is taken in the operands' dtype and the mean in
+    float64.  With n rows and r_i = |a_i - b_i|, a gets the cotangent
+    g · (a_i - b_i) / (n r_i) and b its negative; a row with r_i = 0
+    gets 0.
+    """
+    _check_batches(a, b, "l2_distance")
+    diff = a.data - b.data
+    r = np.sqrt((diff * diff).sum(axis=1))
+    out = Tensor(r.mean(dtype=np.float64), _parents=(a, b), _op="l2_distance")
 
     def bwd(g: np.ndarray) -> None:
-        if x._needed:
-            x._accum_cot(g)
-        if v._needed:
-            v._accum_cot(g.sum(axis=0))
+        safe = np.where(r > 0.0, r, 1.0)
+        scaled = np.asarray(g / diff.shape[0], dtype=r.dtype) * diff / safe[:, None]
+        cot = np.where(r[:, None] > 0.0, scaled, 0.0)
+        if a._needed:
+            a._accum_cot(cot)
+        if b._needed:
+            b._accum_cot(-cot)
+
+    out._backward_fn = bwd
+    return out
+
+
+def binary_cross_entropy(p: Tensor, label: int, clamp: float) -> Tensor:
+    """Mean over every entry of -log q, accumulated in float64, where q
+    is p (label 1) or 1 - p (label 0) after p is clamped to
+    [clamp, 1 - clamp] in its own dtype.
+
+    The clamp keeps the loss finite for saturated probabilities.  Its
+    subgradient is 0 outside the open interval (clamp, 1 - clamp), and
+    at its ends too.
+    """
+    if label not in (0, 1):
+        raise ValueError(f"binary_cross_entropy: label must be 0 or 1, got {label!r}")
+    clamped = np.clip(p.data, clamp, 1.0 - clamp)
+    q = clamped if label == 1 else 1.0 - clamped
+    out = Tensor(-np.log(q).mean(dtype=np.float64), _parents=(p,), _op="binary_cross_entropy")
+
+    def bwd(g: np.ndarray) -> None:
+        if p._needed:
+            cot = np.asarray(-g / q.size, dtype=q.dtype) / q
+            if label == 0:
+                cot = -cot
+            p._accum_cot(cot * ((p.data > clamp) & (p.data < 1.0 - clamp)))
 
     out._backward_fn = bwd
     return out
@@ -424,42 +452,29 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: fl
     return out
 
 
-def diag_part(a: Tensor) -> Tensor:
-    """Diagonals of a square matrix [d x d] or of a stack [K x d x d],
-    as [d] or [K x d]."""
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ShapeError(f"diag_part expects square matrices, got {a.shape}")
-    idx = np.arange(a.shape[-1])
-    out = Tensor(a.data[..., idx, idx], _parents=(a,), _op="diag_part")
-
-    def bwd(g: np.ndarray) -> None:
-        if a._needed:
-            full = np.zeros_like(a.data)
-            full[..., idx, idx] = g
-            a._accum_cot(full)
-
-    out._backward_fn = bwd
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gaussian-mixture ops, batched over components
 # ---------------------------------------------------------------------------
 
 _LOG_TWO_PI = float(np.log(2.0 * np.pi))
+_WEIGHT_FLOOR = 1e-300
 
 
-def mixture_moments(z: Tensor, gamma: Tensor, eps: float, degenerate_mass: float) -> tuple[Tensor, Tensor]:
-    """Membership-weighted means [K x d] and covariances [K x d x d].
+def mixture_moments(z: Tensor, gamma: Tensor, eps: float,
+                    degenerate_mass: float) -> tuple[Tensor, Tensor, Tensor]:
+    """Membership-weighted mixture weights [K], means [K x d] and
+    covariances [K x d x d].
 
-    For component k with mass s_k = Σ_i γ_ik:
+    For n samples and component k with mass s_k = Σ_i γ_ik:
 
-        mean_k = Σ_i γ_ik z_i / s_k
-        cov_k  = sym(Σ_i γ_ik (z_i - mean_k)(z_i - mean_k)ᵀ / s_k) + eps·I
+        weight_k = s_k · (1 / n)
+        mean_k   = Σ_i γ_ik z_i / s_k
+        cov_k    = sym(Σ_i γ_ik (z_i - mean_k)(z_i - mean_k)ᵀ / s_k) + eps·I
 
     A component with s_k < degenerate_mass gets the batch mean and
-    eps·I, and passes no gradient to gamma.  The covariance backward has
-    no term through the mean, because Σ_i γ_ik (z_i - mean_k) = 0.
+    eps·I, and passes no gradient to gamma through them.  The covariance
+    backward has no term through the mean, because
+    Σ_i γ_ik (z_i - mean_k) = 0.
     """
     if z.ndim != 2 or gamma.ndim != 2 or z.shape[0] != gamma.shape[0]:
         raise ShapeError(f"mixture_moments: incompatible shapes {z.shape} and {gamma.shape}")
@@ -475,8 +490,13 @@ def mixture_moments(z: Tensor, gamma: Tensor, eps: float, degenerate_mass: float
     scatter = weighted.transpose(0, 2, 1) @ centered
     cov_values = (scatter + scatter.transpose(0, 2, 1)) / 2.0 + eps * np.eye(d)
 
+    weights = Tensor(mass * (1.0 / n), _parents=(gamma,), _op="mixture_weights")
     means = Tensor(mean_values, _parents=(z, gamma), _op="mixture_means")
     covs = Tensor(cov_values, _parents=(z, gamma), _op="mixture_covariances")
+
+    def weights_bwd(g: np.ndarray) -> None:
+        if gamma._needed:
+            gamma._accum_cot(np.broadcast_to(g * (1.0 / n), gamma.shape))
 
     def means_bwd(g: np.ndarray) -> None:
         if z._needed:
@@ -494,18 +514,21 @@ def mixture_moments(z: Tensor, gamma: Tensor, eps: float, degenerate_mass: float
             inner = (g_sym * scatter).sum(axis=(1, 2))
             gamma._accum_cot(((quad - inner[:, None]) * inv_mass[:, None]).T)
 
+    weights._backward_fn = weights_bwd
     means._backward_fn = means_bwd
     covs._backward_fn = covs_bwd
-    return means, covs
+    return weights, means, covs
 
 
 def gaussian_log_densities(z: Tensor, means: Tensor, covs: Tensor) -> Tensor:
     """log N(z_i; mean_k, cov_k) for samples [n x d] and components
     ([K x d], [K x d x d]), as [n x K].
 
-    Each covariance is read as (C + Cᵀ)/2 and factorised once.  With
-    r_ik = cov_k⁻¹ (z_i - mean_k), the covariance gradient is
-    ½ Σ_i g_ik (r_ik r_ikᵀ - cov_k⁻¹), exact for every entry of C.
+    Each covariance is read as (C + Cᵀ)/2 and factorised once, C = LLᵀ.
+    With r_ik = cov_k⁻¹ (z_i - mean_k), the covariance gradient is
+    ½ Σ_i g_ik (r_ik r_ikᵀ - cov_k⁻¹), exact for every entry of C.  The
+    backward solves once, for L⁻¹, and takes cov⁻¹ = L⁻ᵀL⁻¹ and r from
+    it by batched products.
     """
     if (z.ndim != 2 or means.ndim != 2 or covs.ndim != 3 or z.shape[1] != means.shape[1]
             or covs.shape != (means.shape[0], means.shape[1], means.shape[1])):
@@ -525,17 +548,71 @@ def gaussian_log_densities(z: Tensor, means: Tensor, covs: Tensor) -> Tensor:
                  _parents=(z, means, covs), _op="gaussian_log_densities")
 
     def bwd(g: np.ndarray) -> None:
-        chol_t = chol.transpose(0, 2, 1)
-        r = np.linalg.solve(chol_t, solved).transpose(0, 2, 1)  # [K x n x d]
+        chol_inv_t = np.linalg.solve(chol, np.broadcast_to(np.eye(d), chol.shape)).transpose(0, 2, 1)
+        r = (chol_inv_t @ solved).transpose(0, 2, 1)            # [K x n x d]
         gr = g.T[:, :, None] * r
         if z._needed:
             z._accum_cot(-gr.sum(axis=0))
         if means._needed:
             means._accum_cot(gr.sum(axis=1))
         if covs._needed:
-            eye = np.broadcast_to(np.eye(d), chol.shape)
-            inv = np.linalg.solve(chol_t, np.linalg.solve(chol, eye))
+            inv = chol_inv_t @ chol_inv_t.transpose(0, 2, 1)
             covs._accum_cot(0.5 * (gr.transpose(0, 2, 1) @ r - g.sum(axis=0)[:, None, None] * inv))
+
+    out._backward_fn = bwd
+    return out
+
+
+def mixture_energy(log_densities: Tensor, weights: Tensor) -> Tensor:
+    """Sample energy -log Σ_k weights_k exp(log_densities[i, k]) of each
+    row of [n x K], as [n], by log-sum-exp.
+
+    Each weight is floored at 1e-300 before its log is taken, so a zero
+    weight drops its component without a log of 0, and it gets the
+    subgradient 0.  With γ_ik the row's softmax of
+    log_densities[i, k] + log weights_k, the log densities get -g_i γ_ik
+    and weight k gets -Σ_i g_i γ_ik / weights_k.
+    """
+    if (log_densities.ndim != 2 or weights.ndim != 1
+            or log_densities.shape[1] != weights.shape[0]):
+        raise ShapeError(f"mixture_energy: incompatible shapes {log_densities.shape} and {weights.shape}")
+    floored = np.maximum(weights.data, _WEIGHT_FLOOR)
+    x = log_densities.data + np.log(floored)[None, :]
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=1, keepdims=True)
+    out = Tensor(-(m + np.log(s)).reshape(-1), _parents=(log_densities, weights), _op="mixture_energy")
+
+    def bwd(g: np.ndarray) -> None:
+        cot = (-g)[:, None] * (e / s)
+        if log_densities._needed:
+            log_densities._accum_cot(cot)
+        if weights._needed:
+            weights._accum_cot(cot.sum(axis=0) / floored * (weights.data > _WEIGHT_FLOOR))
+
+    out._backward_fn = bwd
+    return out
+
+
+def inverse_diagonal_sum(covs: Tensor) -> Tensor:
+    """Σ_k Σ_j 1 / covs[k, j, j] over a stack [K x d x d], in float64.
+
+    Each diagonal entry gets the cotangent -g / covs[k, j, j]²; the
+    entries off the diagonal get 0.
+    """
+    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
+        raise ShapeError(f"inverse_diagonal_sum expects a stack of square matrices, got {covs.shape}")
+    idx = np.arange(covs.shape[-1])
+    diag = covs.data[:, idx, idx]
+    with np.errstate(divide="ignore"):
+        inverse = 1.0 / diag
+    out = Tensor(inverse.sum(dtype=np.float64), _parents=(covs,), _op="inverse_diagonal_sum")
+
+    def bwd(g: np.ndarray) -> None:
+        if covs._needed:
+            full = np.zeros_like(covs.data)
+            full[:, idx, idx] = -g / (diag * diag)
+            covs._accum_cot(full)
 
     out._backward_fn = bwd
     return out
@@ -561,53 +638,6 @@ def softmax_rows(x: Tensor) -> Tensor:
 
     out._backward_fn = bwd
     return out
-
-
-def logsumexp_rows(x: Tensor) -> Tensor:
-    """Row-wise log-sum-exp of [n x K] as a vector [n]; backward is softmax."""
-    if x.ndim != 2:
-        raise ShapeError(f"logsumexp_rows expects a matrix, got shape {x.shape}")
-    m = x.data.max(axis=1, keepdims=True)
-    e = np.exp(x.data - m)
-    s = e.sum(axis=1, keepdims=True)
-    out = Tensor((m + np.log(s)).reshape(-1), _parents=(x,), _op="logsumexp_rows")
-
-    def bwd(g: np.ndarray) -> None:
-        if x._needed:
-            x._accum_cot(g[:, None] * (e / s))
-
-    out._backward_fn = bwd
-    return out
-
-
-def l2_norm_rows(x: Tensor) -> Tensor:
-    """Euclidean norm of each row of [n x d]; subgradient 0 at zero rows."""
-    if x.ndim != 2:
-        raise ShapeError(f"l2_norm_rows expects a matrix, got shape {x.shape}")
-    r = np.sqrt((x.data * x.data).sum(axis=1))
-    out = Tensor(r, _parents=(x,), _op="l2_norm_rows")
-
-    def bwd(g: np.ndarray) -> None:
-        if x._needed:
-            safe = np.where(r > 0.0, r, 1.0)
-            x._accum_cot(np.where(r[:, None] > 0.0, g[:, None] * x.data / safe[:, None], 0.0))
-
-    out._backward_fn = bwd
-    return out
-
-
-def l1_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Mean over the batch of the per-sample sum of absolute differences."""
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ShapeError(f"l1_distance: expected two [n x d] batches, got {a.shape} and {b.shape}")
-    return mean(sum_axis(absolute(sub(a, b)), 1))
-
-
-def l2_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Mean over the batch of the per-sample Euclidean distance."""
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ShapeError(f"l2_distance: expected two [n x d] batches, got {a.shape} and {b.shape}")
-    return mean(l2_norm_rows(sub(a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ def score_design(model: nets.Model, design: np.ndarray, mode: str = "latent",
         if gmm is None:
             raise InvalidInputError("energy scoring needs the checkpointed mixture")
         return mx.energy_batch(ad.cast(z, np.float64), gmm).data.copy()
-    z_rec = nets.encode_aux(model, nets.decode(model, z))
-    return ad.l2_norm_rows(ad.sub(z, z_rec)).data.copy()
+    diff = z.data - nets.encode_aux(model, nets.decode(model, z)).data
+    return np.sqrt((diff * diff).sum(axis=1))
 
 
 def score_patchset(
@@ -144,10 +144,17 @@ def _roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, flo
 
 
 def auc(samples: list[ScoredSample]) -> RocResult:
-    """AUC of anomaly scores; raises unless both labels are present."""
+    """AUC of anomaly scores; raises unless every score is finite and
+    both labels are present."""
     if not samples:
         raise InvalidInputError("no samples to evaluate")
     scores = np.array([s.score for s in samples], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        sample = samples[bad[0]]
+        raise InvalidInputError(
+            f"{bad.size} non-finite score(s), the first {sample.score!r} for {sample.source_id!r}"
+        )
     labels = np.array([s.label for s in samples])
     if not np.all(np.isin(labels, (LABEL_NORMAL, LABEL_ANOMALOUS))):
         raise InvalidInputError("evaluation labels must be normal or anomalous")

@@ -4,19 +4,20 @@ The mixture is held as stacked tensors: weights [K], means [K x d] and
 covariances [K x d x d].  Two routes compute the same mixture statistics:
 
 * ``estimate_gmm`` builds them inside the autodiff graph from soft
-  memberships with one batched op (``autodiff.mixture_moments``), so
-  gradients flow back into both the latent batch and the membership
-  matrix during training.
+  memberships with one batched op (``autodiff.mixture_moments``, one
+  node per statistic), so gradients flow back into both the latent
+  batch and the membership matrix during training.
 * ``_m_step`` is a plain-numpy classical EM M-step, written
   independently, which must agree with ``estimate_gmm`` to 1e-12 on
   identical responsibilities (``cross_check_estimation``).
 
 Energies are computed in log space with log-sum-exp over the batched
-component log densities (``autodiff.gaussian_log_densities``);
-evaluating the mixture density directly underflows for samples far
-from every component.  ``mixture_log_pdf`` is their one naive oracle:
-also log-sum-exp, so far samples stay finite, but built from ``slogdet``
-and ``inv`` rather than a Cholesky factor, so it shares no route with
+component log densities (``autodiff.gaussian_log_densities``), in one
+node (``autodiff.mixture_energy``); evaluating the mixture density
+directly underflows for samples far from every component.
+``mixture_log_pdf`` is their one naive oracle: also log-sum-exp, so far
+samples stay finite, but built from ``slogdet`` and ``inv`` rather than
+a Cholesky factor, so it shares no route with
 ``gaussian_log_densities``.  ``verify`` checks energies against it at
 1e-10.
 """
@@ -97,16 +98,14 @@ def estimate_gmm(z: Tensor, gamma: Tensor, eps: float = DEFAULT_COV_EPS) -> GmmP
     if eps < 0.0:
         raise InvalidInputError("covariance floor must be nonnegative")
 
-    alpha = ad.mul(ad.sum_axis(gamma, 0), 1.0 / n)
-    means, covariances = ad.mixture_moments(z, gamma, eps, DEGENERATE_MASS)
+    alpha, means, covariances = ad.mixture_moments(z, gamma, eps, DEGENERATE_MASS)
     return GmmParams(alpha=alpha, means=means, covariances=covariances)
 
 
 def energy_batch(z: Tensor, params: GmmParams) -> Tensor:
     """Negative log mixture density for each row of a latent batch [n x d]."""
-    log_alpha = ad.log(ad.clip(params.alpha, 1e-300, np.inf))
     log_densities = ad.gaussian_log_densities(z, params.means, params.covariances)
-    return ad.neg(ad.logsumexp_rows(ad.add_rowvec(log_densities, log_alpha)))
+    return ad.mixture_energy(log_densities, params.alpha)
 
 
 def estimation_loss(
@@ -126,8 +125,8 @@ def estimation_loss(
     mixture can collapse onto single samples.
     """
     total_energy = ad.tensor_sum(energy_batch(z_batch, params))
-    penalty = ad.tensor_sum(ad.div(1.0, ad.diag_part(params.covariances)))
-    return ad.add(ad.mul(total_energy, lambda1), ad.mul(penalty, lambda2))
+    penalty = ad.inverse_diagonal_sum(params.covariances)
+    return ad.weighted_sum([total_energy, penalty], [lambda1, lambda2])
 
 
 # ---------------------------------------------------------------------------

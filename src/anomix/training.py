@@ -309,6 +309,10 @@ class TrainState:
 
 
 def make_train_state(arch: nets.ArchConfig, config: TrainConfig) -> TrainState:
+    """A fresh model and its two optimizer states; raises
+    ``InvalidConfigError`` for an invalid config or arch."""
+    config.validate()
+    arch.validate()
     model = nets.init_model(arch, config.seed)
     return TrainState(
         model=model,

@@ -34,10 +34,6 @@ class TestElementwise:
         x = ad.Tensor([[-2.0, 3.0]])
         np.testing.assert_allclose(_activate(x, "leaky_relu", 0.2).data, [[-0.4, 3.0]])
 
-    def test_log_of_nonpositive_raises(self):
-        with pytest.raises(NumericError):
-            ad.log(ad.Tensor([1.0, 0.0]))
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             ad.add(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0, 3.0]))
@@ -163,16 +159,16 @@ class TestDtypeRule:
         x = ad.Tensor([1.0, 2.0])
         assert ad.mul(x, 2.0)._parents == (x,)
         assert ad.sub(3.0, x)._parents == (x,)
-        (g,) = ad.backward(ad.tensor_sum(ad.div(6.0, x)), [x])
-        np.testing.assert_array_equal(g, [-6.0, -1.5])
+        (g,) = ad.backward(ad.tensor_sum(ad.sub(6.0, ad.mul(ad.mul(x, x), 1.5))), [x])
+        np.testing.assert_array_equal(g, [-3.0, -6.0])
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e39])
     def test_non_finite_scalar_raises(self, value):
-        # 1e39 is finite as a Python float, but not as float32.  x / inf
-        # would be a finite 0, so only the operand check can catch it.
-        x = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32))
+        # 1e39 is finite as a Python float, but not as float32.  The
+        # operand is refused before the op runs, whatever its result.
+        x = ad.Tensor(np.array([0.0, 2.0], dtype=np.float32))
         with pytest.raises(NumericError, match="scalar operand"):
-            ad.div(x, value)
+            ad.mul(x, value)
 
     def test_mixed_op_is_float64_and_each_cotangent_has_its_node_dtype(self):
         a = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32))
@@ -187,9 +183,14 @@ class TestDtypeRule:
         # 2**24 + 1 is not a float32 value, so a float32 sum would drop the 1.
         x = ad.Tensor(np.array([2.0 ** 24, 1.0], dtype=np.float32))
         assert ad.tensor_sum(x).item() == 2.0 ** 24 + 1.0
-        assert ad.mean(x).data.dtype == np.float64
-        (g,) = ad.backward(ad.mean(x), [x])
-        assert g.dtype == np.float32
+        # The same two values as the rows' distances from zero: each is a
+        # float32 value, and only a float64 mean keeps their odd sum.
+        rows = ad.Tensor(np.array([[2.0 ** 24], [1.0]], dtype=np.float32))
+        zeros = ad.Tensor(np.zeros((2, 1), dtype=np.float32))
+        for loss in (ad.l1_distance(rows, zeros), ad.l2_distance(rows, zeros)):
+            assert loss.data.dtype == np.float64 and loss.item() == (2.0 ** 24 + 1.0) / 2.0
+            (g,) = ad.backward(loss, [rows])
+            assert g.dtype == np.float32
 
     def test_cast(self):
         x = ad.Tensor(np.array([1.5, -2.0]))
@@ -222,25 +223,6 @@ class TestMatmul:
     def test_inner_dim_mismatch(self):
         with pytest.raises(ShapeError):
             ad.dense(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))), ad.Tensor(np.zeros(3)))
-
-
-class TestReductions:
-    def test_mean_value(self):
-        assert ad.mean(ad.Tensor([1.0, 2.0, 3.0])).item() == 2.0
-
-    def test_sum_axis_one_hot(self):
-        m = np.zeros((4, 3))
-        m[0, 1] = m[2, 1] = m[3, 0] = 1.0
-        np.testing.assert_array_equal(ad.sum_axis(ad.Tensor(m), 0).data, [1.0, 2.0, 0.0])
-
-    def test_sum_axis_out_of_range(self):
-        with pytest.raises(ShapeError):
-            ad.sum_axis(ad.Tensor(np.ones((2, 2))), 2)
-
-    def test_mean_gradient_is_uniform(self):
-        x = ad.Tensor([4.0, 5.0, 6.0])
-        (grad,) = ad.backward(ad.mean(x), [x])
-        np.testing.assert_array_equal(grad, [1 / 3, 1 / 3, 1 / 3])
 
 
 class TestSoftmax:
@@ -280,6 +262,126 @@ class TestDistances:
         np.testing.assert_array_equal(grad, [[0.0, 0.0]])
 
 
+class TestFusedOps:
+    """Each fused op against its composite formula, written here in plain
+    float64 numpy, including the points where only a subgradient exists:
+    zero differences, zero-distance rows, probabilities at and beyond the
+    clamp, and a zero mixture weight."""
+
+    @staticmethod
+    def _pair(seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((5, 3))
+        b = rng.standard_normal((5, 3))
+        b[1, 2] = a[1, 2]       # one zero difference
+        b[3] = a[3]             # one zero-distance row
+        return a, b
+
+    def test_l1_distance(self):
+        a, b = self._pair(60)
+        ta, tb = ad.Tensor(a), ad.Tensor(b)
+        loss = ad.l1_distance(ta, tb)
+        ga, gb = ad.backward(loss, [ta, tb])
+        np.testing.assert_allclose(loss.item(), np.abs(a - b).sum(axis=1).mean(), rtol=1e-15)
+        want = np.sign(a - b) / 5
+        np.testing.assert_array_equal(ga, want)
+        np.testing.assert_array_equal(gb, -want)
+        assert ga[1, 2] == 0.0 and not ga[3].any()
+
+    def test_l2_distance_with_a_zero_distance_row(self):
+        a, b = self._pair(61)
+        ta, tb = ad.Tensor(a), ad.Tensor(b)
+        loss = ad.l2_distance(ta, tb)
+        ga, gb = ad.backward(loss, [ta, tb])
+        r = np.sqrt(((a - b) ** 2).sum(axis=1))
+        np.testing.assert_allclose(loss.item(), r.mean(), rtol=1e-15)
+        want = np.zeros_like(a)
+        want[r > 0] = (a - b)[r > 0] / r[r > 0, None] / 5
+        np.testing.assert_allclose(ga, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(gb, -want, rtol=1e-14, atol=0)
+        assert not ga[3].any()
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_binary_cross_entropy_at_and_beyond_the_clamp(self, label):
+        lo, hi = 1e-7, 1.0 - 1e-7
+        p = np.array([[0.0], [1e-9], [lo], [0.3], [0.5], [0.8], [hi], [1.0]])
+        tp = ad.Tensor(p)
+        loss = ad.binary_cross_entropy(tp, label, lo)
+        (grad,) = ad.backward(loss, [tp])
+        q = np.clip(p, lo, hi)
+        inside = (p > lo) & (p < hi)
+        if label == 1:
+            value, want = -np.log(q).mean(), -1.0 * inside / (p.size * q)
+        else:
+            value, want = -np.log(1.0 - q).mean(), inside / (p.size * (1.0 - q))
+        np.testing.assert_allclose(loss.item(), value, rtol=1e-14)
+        np.testing.assert_allclose(grad, want, rtol=1e-14, atol=0)
+        # At the clamp's ends and beyond it, the subgradient is 0.
+        np.testing.assert_array_equal(grad[[0, 1, 2, 6, 7]], 0.0)
+        with pytest.raises(ValueError):
+            ad.binary_cross_entropy(tp, 2, lo)
+
+    def test_weighted_sum(self):
+        s, t = ad.Tensor(2.0), ad.Tensor(-3.0)
+        total = ad.weighted_sum([s, t, s], [0.5, 4.0, -1.5])
+        assert total.item() == 0.5 * 2.0 + 4.0 * -3.0 - 1.5 * 2.0
+        assert total._parents == (s, t, s)
+        gs, gt = ad.backward(total, [s, t])
+        assert gs == 0.5 - 1.5 and gt == 4.0
+        with pytest.raises(ShapeError):
+            ad.weighted_sum([s, ad.Tensor([1.0, 2.0])], [1.0, 1.0])
+        with pytest.raises(ShapeError):
+            ad.weighted_sum([s, t], [1.0])
+        with pytest.raises(NumericError):
+            ad.weighted_sum([s, t], [1.0, np.inf])
+
+    def test_mixture_energy_with_a_zero_weight(self):
+        rng = np.random.default_rng(62)
+        log_dens = rng.uniform(-8.0, 2.0, size=(6, 3))
+        weights = np.array([0.3, 0.0, 0.7])
+        c = rng.standard_normal(6)
+        tl, tw = ad.Tensor(log_dens), ad.Tensor(weights)
+        energy = ad.mixture_energy(tl, tw)
+        gl, gw = ad.backward(ad.tensor_sum(ad.mul(energy, ad.Tensor(c))), [tl, tw])
+        dens = weights * np.exp(log_dens)                   # [n x K]
+        total = dens.sum(axis=1)
+        np.testing.assert_allclose(energy.data, -np.log(total), rtol=1e-14)
+        # The floor leaves a zero weight's column ~1e-300, as the chain did.
+        np.testing.assert_allclose(gl, -c[:, None] * dens / total[:, None], rtol=1e-12, atol=1e-290)
+        kept = weights > 0
+        want_w = -(c[:, None] * np.exp(log_dens) / total[:, None]).sum(axis=0)
+        np.testing.assert_allclose(gw[kept], want_w[kept], rtol=1e-12)
+        assert gw[1] == 0.0     # the zero weight's subgradient
+        with pytest.raises(ShapeError):
+            ad.mixture_energy(tl, ad.Tensor(weights[:2]))
+
+    def test_inverse_diagonal_sum(self):
+        rng = np.random.default_rng(63)
+        m = rng.standard_normal((3, 4, 4))
+        covs = m @ m.transpose(0, 2, 1) + np.eye(4)
+        tc = ad.Tensor(covs)
+        penalty = ad.inverse_diagonal_sum(tc)
+        (grad,) = ad.backward(penalty, [tc])
+        diag = np.diagonal(covs, axis1=1, axis2=2)
+        np.testing.assert_allclose(penalty.item(), (1.0 / diag).sum(), rtol=1e-14)
+        want = np.zeros_like(covs)
+        for k in range(3):
+            want[k] = np.diag(-1.0 / diag[k] ** 2)
+        np.testing.assert_allclose(grad, want, rtol=1e-14, atol=0)
+        with pytest.raises(ShapeError):
+            ad.inverse_diagonal_sum(ad.Tensor(np.ones((2, 3, 4))))
+
+    def test_mixture_weights(self):
+        rng = np.random.default_rng(64)
+        g = rng.uniform(0.1, 1.0, size=(5, 3))
+        gamma = ad.Tensor(g / g.sum(axis=1, keepdims=True))
+        c = rng.standard_normal(3)
+        weights, _, _ = ad.mixture_moments(ad.Tensor(rng.standard_normal((5, 2))), gamma, 1e-3, 1e-12)
+        (grad,) = ad.backward(ad.tensor_sum(ad.mul(weights, ad.Tensor(c))), [gamma])
+        np.testing.assert_allclose(weights.data, gamma.data.sum(axis=0) / 5, rtol=1e-15)
+        np.testing.assert_allclose(grad, np.tile(c / 5, (5, 1)), rtol=1e-15)
+
+
 class TestGraph:
     def test_diamond_accumulates_both_paths(self):
         for v in [-3.0, 0.0, 1.0, 7.0]:
@@ -290,7 +392,7 @@ class TestGraph:
     def test_backward_requires_scalar(self):
         x = ad.Tensor([1.0, 2.0])
         with pytest.raises(ShapeError):
-            ad.backward(ad.neg(x), [x])
+            ad.backward(ad.mul(x, 2.0), [x])
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(2)
@@ -308,9 +410,9 @@ def _graph(rng):
     leaf feeding a branch the loss never reaches."""
     a = ad.Tensor(rng.standard_normal((4, 3)))
     b = ad.Tensor(rng.standard_normal((3, 5)))
-    unused = ad.Tensor(rng.standard_normal(5))
+    unused = ad.Tensor(rng.standard_normal((4, 5)))
     shared = ad.dense(a, b, ad.Tensor(np.zeros(5)), "tanh")
-    ad.add_rowvec(shared, unused)
+    ad.add(shared, unused)
     w = ad.Tensor(rng.standard_normal((4, 5)))
     loss = ad.add(ad.tensor_sum(ad.mul(shared, shared)), ad.tensor_sum(ad.mul(ad.softmax_rows(shared), w)))
     return loss, a, b, unused
@@ -331,7 +433,7 @@ class TestBackwardContract:
         loss, a, _, unused = _graph(np.random.default_rng(30))
         grad_a, grad_unused = ad.backward(loss, [a, unused])
         assert grad_a.any()
-        np.testing.assert_array_equal(grad_unused, np.zeros(5))
+        np.testing.assert_array_equal(grad_unused, np.zeros((4, 5)))
 
     def test_no_node_keeps_a_cotangent(self):
         loss, a, _, _ = _graph(np.random.default_rng(31))
@@ -397,32 +499,17 @@ class TestGradientOwnership:
         z = ad.Tensor(rng.standard_normal((5, 2)))
         g = rng.uniform(0.1, 1.0, size=(5, 3))
         gamma = ad.Tensor(g / g.sum(axis=1, keepdims=True))
-        _, covs = ad.mixture_moments(z, gamma, 1e-3, 1e-12)
+        _, _, covs = ad.mixture_moments(z, gamma, 1e-3, 1e-12)
         loss = ad.tensor_sum(ad.mul(covs, ad.Tensor(rng.standard_normal((3, 2, 2)))))
         _assert_gradients_owned(loss, [gamma])
         _assert_gradients_owned(loss, [covs, gamma, z])
 
     def test_scalar_leaf(self):
         s = ad.Tensor(1.5)
-        _assert_gradients_owned(ad.neg(ad.add(s, s)), [s])
+        _assert_gradients_owned(ad.mul(ad.add(s, s), -1.0), [s])
 
 
 class TestStructuredOps:
-    def test_add_rowvec(self):
-        x = ad.Tensor(np.zeros((2, 3)))
-        v = ad.Tensor([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(ad.add_rowvec(x, v).data, [[1, 2, 3], [1, 2, 3]])
-
-    def test_logsumexp_rows_matches_naive(self):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(-5, 5, size=(10, 3))
-        got = ad.logsumexp_rows(ad.Tensor(x)).data
-        np.testing.assert_allclose(got, np.log(np.exp(x).sum(axis=1)), rtol=1e-12)
-
-    def test_diag_part_of_stack(self):
-        stack = ad.Tensor(np.arange(18.0).reshape(2, 3, 3))
-        np.testing.assert_array_equal(ad.diag_part(stack).data, [[0, 4, 8], [9, 13, 17]])
-
     def test_gaussian_log_densities_match_naive(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal((5, 3))
@@ -449,6 +536,25 @@ class TestStructuredOps:
         plain = ad.gaussian_log_densities(z, means, ad.Tensor(np.eye(2)[None])).data
         skewed = ad.gaussian_log_densities(z, means, ad.Tensor(np.eye(2)[None] + skew)).data
         np.testing.assert_array_equal(plain, skewed)
+
+    def test_gaussian_log_densities_backward_matches_explicit_inverse(self):
+        # The backward takes cov⁻¹ and r from one solve for L⁻¹; here they
+        # come from np.linalg.inv.
+        rng = np.random.default_rng(9)
+        z, means = rng.standard_normal((5, 3)), rng.standard_normal((2, 3))
+        m = rng.standard_normal((2, 3, 3))
+        covs = m @ m.transpose(0, 2, 1) + np.eye(3)
+        c = rng.standard_normal((5, 2))
+        tz, tm, tc = ad.Tensor(z), ad.Tensor(means), ad.Tensor(covs)
+        out = ad.gaussian_log_densities(tz, tm, tc)
+        gz, gm, gc = ad.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(c))), [tz, tm, tc])
+        inv = np.linalg.inv(covs)
+        r = np.einsum("kde,kie->kid", inv, z[None] - means[:, None])     # [K x n x d]
+        cr = c.T[:, :, None] * r
+        np.testing.assert_allclose(gz, -cr.sum(axis=0), rtol=1e-10)
+        np.testing.assert_allclose(gm, cr.sum(axis=1), rtol=1e-10)
+        want = 0.5 * (np.einsum("kid,kie->kde", cr, r) - c.sum(axis=0)[:, None, None] * inv)
+        np.testing.assert_allclose(gc, want, rtol=1e-10)
 
     def test_gaussian_log_densities_reject_indefinite(self):
         covs = ad.Tensor(np.stack([np.eye(2), np.diag([1.0, -1.0])]))

@@ -68,6 +68,14 @@ class TestAuc:
         with pytest.raises(InvalidInputError):
             ev.auc(make_samples([0.1, 0.2], "aa"))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, value):
+        # Unchecked, a NaN reaches both AUC routes, which then disagree
+        # and blame the cross-check with a VerificationError.
+        samples = make_samples([0.9, value, 0.2, 0.1], "aann")
+        with pytest.raises(InvalidInputError, match="non-finite score.*'s1'"):
+            ev.auc(samples)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_pairwise_oracle_exactly(self, seed):
         rng = np.random.default_rng(1300 + seed)

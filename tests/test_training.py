@@ -477,16 +477,20 @@ class TestGraphSize:
     def test_one_train_step(self):
         state, design = self._state_and_design()
         # One dense node per layer: encoder 3, decoder 3, discriminator
-        # 2 three times, auxiliary encoder 3, estimator 2.  The other 48
-        # are the input, the latent cast, the losses and the mixture head.
-        assert nodes_made_by(lambda: tr.train_step(state, design, TINY_CONFIG)) == 17 + 48
+        # 2 three times, auxiliary encoder 3, estimator 2.  The other 19:
+        # the input, the decoder's output scale, the latent cast, the
+        # membership softmax; the discriminator loss's two cross-entropies
+        # and their sum; the image, latent and generator-adversarial
+        # terms; the mixture weights, means and covariances; the
+        # estimation loss's log densities, energy, energy sum, penalty and
+        # weighted sum; and the total.
+        assert nodes_made_by(lambda: tr.train_step(state, design, TINY_CONFIG)) == 17 + 19
 
     @pytest.mark.parametrize("mode, layers, others", [
-        # input, output scale, difference and row norm
-        ("latent", 9, 4),
-        # input, latent cast, and the energy's clip, log, log densities,
-        # add_rowvec, logsumexp and negation
-        ("energy", 3, 8),
+        # input and output scale; the distance is plain numpy
+        ("latent", 9, 2),
+        # input, latent cast, log densities and energy
+        ("energy", 3, 4),
     ])
     def test_one_score_design_call(self, mode, layers, others):
         state, design = self._state_and_design()
@@ -633,6 +637,15 @@ class TestConfigValidation:
         cfg = tr.TrainConfig(**bad)
         with pytest.raises(InvalidConfigError):
             cfg.validate()
+
+    def test_train_state_rejects_invalid_config(self):
+        # Not numpy's own ValueError for the seed.
+        with pytest.raises(InvalidConfigError, match="seed"):
+            tr.make_train_state(TINY_ARCH, tr.TrainConfig(seed=-1))
+
+    def test_train_state_rejects_invalid_arch(self):
+        with pytest.raises(InvalidConfigError, match="input_dim"):
+            tr.make_train_state(nets.ArchConfig(input_dim=0), tr.TrainConfig())
 
     def test_zero_loss_weights_and_cov_eps_are_valid(self):
         tr.TrainConfig(weights=LossWeights(0.0, 0.0, 0.0, 0.0), cov_eps=0.0, lambda1=0.0).validate()

@@ -20,7 +20,7 @@ def test_every_tensor_op_has_a_gradient_case():
         if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
         and inspect.signature(fn).return_annotation in ("Tensor", ad.Tensor)
     ]
-    assert "dense" in ops and "add_rowvec" in ops, ops
+    assert "dense" in ops and "weighted_sum" in ops, ops
     cases = [name for name, *_ in verify.gradient_cases(np.random.default_rng(0))]
     missing = [op for op in ops if not any(c == f"op {op}" or c.startswith(f"op {op} ") for c in cases)]
     assert not missing, f"ops without a gradient case: {missing}"
