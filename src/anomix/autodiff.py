@@ -15,33 +15,32 @@ no gradient work, and a parameter left out of ``wrt`` gets none either.
 
 Cotangents are owned on first write: a node keeps the first cotangent
 it receives as given, with no copy, and adds each later one out of
-place.  A closure may therefore pass on the array it received (``add``
-gives the same one to both operands) or a view (``mixture_moments``
-gives ``gamma`` a transposed one), and no backward closure may write
-into the cotangent it receives.
+place.  A closure may therefore pass on a view (``mixture_moments``
+gives ``gamma`` a broadcast one and a transposed one), and no backward
+closure may write into the cotangent it receives.
 ``backward`` copies a wanted gradient only when it is a view or already
 handed out, so the arrays it returns never alias each other.
 
-One dtype rule covers every op.  A ``Tensor`` keeps float32 input as
-float32 and stores everything else as float64.  A Python scalar operand
-is a constant, not a node: it becomes a 0-d array of its partner
-operand's dtype, so scaling a float32 tensor keeps it float32, and it
-must be finite in that dtype.  An op on two tensors of different dtypes
-computes in float64 (numpy's promotion), and a node's cotangent is
-always cast to that node's dtype, so the float32 side of such an op
-still gets a float32 gradient.  ``cast`` converts explicitly and is
-differentiable.  Every op that reduces to a scalar (``tensor_sum``, the
-distances, ``binary_cross_entropy``, ``inverse_diagonal_sum`` and
-``weighted_sum``) accumulates in float64, so every loss is a float64
-scalar.
+One operand contract covers every op.  A ``Tensor`` keeps float32 input
+as float32 and stores everything else as float64.  The tensor operands
+of an op share one dtype, and an op raises ``ShapeError`` on a mix;
+``cast`` is the only conversion, and it is differentiable.  An op
+computes in its operands' dtype, and each cotangent has its node's
+dtype: ``_accum_cot`` refuses one of another dtype, so only ``cast``'s
+backward converts.  The batched mixture ops (``mixture_moments``,
+``gaussian_log_densities``, ``mixture_energy``) take float64 operands
+only.  A Python float is a constant, never an operand: a ``dense``
+slope, a clamp, a ``weighted_sum`` weight.  Every op that reduces to a
+scalar (``tensor_sum``, the distances, ``binary_cross_entropy`` and
+``inverse_diagonal_sum``) accumulates in float64, so every loss, a
+``weighted_sum`` of such scalars, is a float64 scalar.
 
-Shape discipline is strict: binary elementwise ops require equal shapes,
-the only implicit broadcast is scalar-with-tensor.  Everything else is a
-named structured op (``dense``, ``mixture_moments``, ``mixture_energy``,
-...) whose shape contract is part of its signature.  Every forward
-result is checked for NaN/Inf and raises NumericError immediately, so a
-diverging computation fails at the op that produced it rather than at
-the loss.
+Shapes are strict too: elementwise operands share one shape, and
+nothing broadcasts implicitly.  Everything else is a named structured
+op (``dense``, ``mixture_moments``, ``mixture_energy``, ...) whose shape
+contract is part of its signature.  Every forward result is checked for
+NaN/Inf and raises NumericError immediately, so a diverging computation
+fails at the op that produced it rather than at the loss.
 
 A network layer is one node, and so is each term of the training
 objective.  ``dense`` computes act(x @ w + b) in the product's own
@@ -54,14 +53,14 @@ elementwise and reduction nodes.  Each takes the numpy steps of the
 chain it replaced, so its values and cotangents are bitwise the chain's,
 subgradients at kinks and clamps included.  The one exception is
 ``weighted_sum``'s value, which adds the terms left to right where the
-chain added them in pairs.  The elementwise ops left (``add``, ``sub``,
-``mul``, ``cast``) and ``tensor_sum`` serve as combinators.
+chain added them in pairs.  ``mul`` and ``tensor_sum`` are left as
+combinators: ``verify`` weighs each op's output with ``mul`` and sums it
+to a scalar.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,13 +111,10 @@ class Tensor:
 
     def _accum_cot(self, g: np.ndarray) -> None:
         # Owned on first write (see the module docstring): the first
-        # cotangent is kept as given, and may be shared with another node
-        # or be a view, so later ones are added out of place.  One in
-        # another dtype is cast to this node's.
-        if g.shape != self.data.shape:
-            raise ShapeError(f"cotangent of shape {g.shape} for '{self._op}' of shape {self.shape}")
-        if g.dtype != self.data.dtype:
-            g = g.astype(self.data.dtype)
+        # cotangent is kept as given, and may be a view, so later ones
+        # are added out of place.
+        if g.shape != self.data.shape or g.dtype != self.data.dtype:
+            raise ShapeError(f"{g.dtype} cotangent {g.shape} for '{self._op}' {self.data.dtype} {self.shape}")
         self._cot = g if self._cot is None else self._cot + g
 
     def __repr__(self) -> str:
@@ -188,59 +184,36 @@ def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def _check_binary_shapes(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    # Equal shapes, or one side is a scalar (the only implicit broadcast).
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+def _check_dtypes(op: str, *tensors: Tensor) -> None:
+    # The operand contract: one dtype across an op's tensor operands.
+    if len({t.data.dtype for t in tensors}) > 1:
+        raise ShapeError(f"{op}: operands of dtypes {[str(t.data.dtype) for t in tensors]}, not one dtype")
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Undo scalar broadcasting when accumulating into a scalar operand.
-    if shape == ():
-        return np.asarray(g.sum())
-    return g
-
-
-def _scalar_operand(value, dtype, op: str) -> np.ndarray:
-    # A Python scalar is a constant, not a node: a 0-d array of its
-    # partner's dtype.  One beyond that dtype's range becomes inf here.
-    with np.errstate(over="ignore"):
-        arr = np.asarray(value, dtype=dtype)
-    if not np.isfinite(arr).all():
-        raise NumericError(f"{op}: scalar operand {value!r} is not finite as {arr.dtype}")
-    return arr
-
-
-def _binary(a, b, fwd, da, db, name: str) -> Tensor:
-    # Tensor operands are parents; a Python scalar takes its partner's dtype.
-    x = a.data if isinstance(a, Tensor) else _scalar_operand(a, b.data.dtype, name)
-    y = b.data if isinstance(b, Tensor) else _scalar_operand(b, a.data.dtype, name)
-    _check_binary_shapes(x, y, name)
-    # Overflow surfaces as NumericError via the finiteness check in the
-    # constructor; numpy's own warning is redundant here.
-    with np.errstate(over="ignore"):
-        out = Tensor(fwd(x, y), _parents=tuple(t for t in (a, b) if isinstance(t, Tensor)), _op=name)
-
-    def bwd(g: np.ndarray) -> None:
-        if isinstance(a, Tensor) and a._needed:
-            a._accum_cot(_reduce_to(da(g, x, y), a.shape))
-        if isinstance(b, Tensor) and b._needed:
-            b._accum_cot(_reduce_to(db(g, x, y), b.shape))
-
-    out._backward_fn = bwd
-    return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g, "sub")
+def _check_float64(op: str, *tensors: Tensor) -> None:
+    # The batched mixture ops' operands: float64 only, because their
+    # eps·I, unit matrices and weight floor are float64 constants.
+    if any(t.data.dtype != np.float64 for t in tensors):
+        raise ShapeError(f"{op}: operands of dtypes {[str(t.data.dtype) for t in tensors]}, not all float64")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
+    """Elementwise product of two tensors of one shape and dtype."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+    _check_dtypes("mul", a, b)
+    # The constructor reports an overflow as NumericError.
+    with np.errstate(over="ignore"):
+        out = Tensor(a.data * b.data, _parents=(a, b), _op="mul")
+
+    def bwd(g: np.ndarray) -> None:
+        if a._needed:
+            a._accum_cot(g * b.data)
+        if b._needed:
+            b._accum_cot(g * a.data)
+
+    out._backward_fn = bwd
+    return out
 
 
 def cast(a: Tensor, dtype) -> Tensor:
@@ -255,7 +228,7 @@ def cast(a: Tensor, dtype) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         if a._needed:
-            a._accum_cot(g)
+            a._accum_cot(g.astype(a.data.dtype))
 
     out._backward_fn = bwd
     return out
@@ -282,18 +255,25 @@ def tensor_sum(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
-    """Σ_i weights[i] · terms[i] over scalar tensors, as one float64 node.
+    """Σ_i weights[i] · terms[i] over tensors of one shape and dtype, as
+    one node computed in that dtype.
 
     The weights are Python floats, constants rather than nodes, and must
-    be finite.  The terms are added left to right.  Term i gets the
-    cotangent g · weights[i].
+    be finite in the terms' dtype.  The terms are added left to right.
+    Term i gets the cotangent g · weights[i].
     """
     terms, weights = tuple(terms), tuple(float(w) for w in weights)
-    if len(terms) != len(weights) or any(t.ndim != 0 for t in terms):
+    if not terms or len(terms) != len(weights) or any(t.shape != terms[0].shape for t in terms):
         raise ShapeError(f"weighted_sum: {len(weights)} weights for terms of shapes {[t.shape for t in terms]}")
-    if not all(math.isfinite(w) for w in weights):
-        raise NumericError(f"weighted_sum: weights {list(weights)} are not all finite")
-    out = Tensor(sum(w * float(t.data) for t, w in zip(terms, weights)), _parents=terms, _op="weighted_sum")
+    _check_dtypes("weighted_sum", *terms)
+    # A weight beyond the terms' range becomes inf here.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.asarray(weights, terms[0].data.dtype)).all():
+            raise NumericError(f"weighted_sum: weights {list(weights)} are not all finite as {terms[0].data.dtype}")
+        value = terms[0].data * weights[0]
+        for t, w in zip(terms[1:], weights[1:]):
+            value = value + t.data * w
+    out = Tensor(value, _parents=terms, _op="weighted_sum")
 
     def bwd(g: np.ndarray) -> None:
         for t, w in zip(terms, weights):
@@ -307,6 +287,7 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
 def _check_batches(a: Tensor, b: Tensor, op: str) -> None:
     if a.ndim != 2 or a.shape != b.shape:
         raise ShapeError(f"{op}: expected two [n x d] batches, got {a.shape} and {b.shape}")
+    _check_dtypes(op, a, b)
 
 
 def l1_distance(a: Tensor, b: Tensor) -> Tensor:
@@ -406,20 +387,18 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: fl
 
     ``activation`` is one of ``ACTIVATIONS``; ``slope`` is leaky_relu's
     slope below zero, whose subgradient at 0 it also is.  The bias and
-    the activation run in place in the product.  Operands of mixed
-    dtypes are promoted to float64 first (the module's dtype rule).
-    Backward: with gh the cotangent through the activation, dx = gh wᵀ,
-    dw = xᵀ gh and db = Σ_rows gh.
+    the activation run in place in the product, in the operands' one
+    dtype.  Backward: with gh the cotangent through the activation,
+    dx = gh wᵀ, dw = xᵀ gh and db = Σ_rows gh.
     """
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"dense: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    dtype = np.result_type(x.data, w.data, b.data)
-    xd, wd = x.data.astype(dtype, copy=False), w.data.astype(dtype, copy=False)
+    _check_dtypes("dense", x, w, b)
     mask = None
     with np.errstate(over="ignore", invalid="ignore"):
-        h = xd @ wd
+        h = x.data @ w.data
         h += b.data
         # tanh and sigmoid would turn an inf into a finite value.
         if activation in ("tanh", "sigmoid") and not np.isfinite(h).all():
@@ -442,9 +421,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: fl
         elif activation == "sigmoid":
             g = g * h * (1.0 - h)
         if x._needed:
-            x._accum_cot(g @ wd.T)
+            x._accum_cot(g @ w.data.T)
         if w._needed:
-            w._accum_cot(xd.T @ g)
+            w._accum_cot(x.data.T @ g)
         if b._needed:
             b._accum_cot(g.sum(axis=0))
 
@@ -478,6 +457,7 @@ def mixture_moments(z: Tensor, gamma: Tensor, eps: float,
     """
     if z.ndim != 2 or gamma.ndim != 2 or z.shape[0] != gamma.shape[0]:
         raise ShapeError(f"mixture_moments: incompatible shapes {z.shape} and {gamma.shape}")
+    _check_float64("mixture_moments", z, gamma)
     n, d = z.shape
     mass = gamma.data.sum(axis=0)
     dead = mass < degenerate_mass
@@ -535,6 +515,7 @@ def gaussian_log_densities(z: Tensor, means: Tensor, covs: Tensor) -> Tensor:
         raise ShapeError(
             f"gaussian_log_densities: incompatible shapes {z.shape}, {means.shape}, {covs.shape}"
         )
+    _check_float64("gaussian_log_densities", z, means, covs)
     d = z.shape[1]
     try:
         chol = np.linalg.cholesky((covs.data + covs.data.transpose(0, 2, 1)) / 2.0)
@@ -576,6 +557,7 @@ def mixture_energy(log_densities: Tensor, weights: Tensor) -> Tensor:
     if (log_densities.ndim != 2 or weights.ndim != 1
             or log_densities.shape[1] != weights.shape[0]):
         raise ShapeError(f"mixture_energy: incompatible shapes {log_densities.shape} and {weights.shape}")
+    _check_float64("mixture_energy", log_densities, weights)
     floored = np.maximum(weights.data, _WEIGHT_FLOOR)
     x = log_densities.data + np.log(floored)[None, :]
     m = x.max(axis=1, keepdims=True)

@@ -15,7 +15,8 @@ class InvalidConfigError(AnomixError):
 
 
 class ShapeError(AnomixError):
-    """Tensor or array shapes do not satisfy an operation's contract."""
+    """Tensor or array shapes or dtypes do not satisfy an operation's
+    contract."""
 
 
 class NumericError(AnomixError):

@@ -16,7 +16,11 @@ generator is worst.
 The reconstruction, latent and adversarial terms are one autodiff node
 each (``l1_distance``, ``l2_distance``, ``binary_cross_entropy``), and
 each weighted sum of terms is one more (``weighted_sum``).  The
-estimation term, built in ``mixture``, is five.
+estimation term, built in ``mixture``, is five.  The two operands of a
+distance share one dtype, the networks' (``autodiff``'s operand
+contract), and every term is a float64 scalar, so every weighted sum of
+terms is too.  ``training.generator_loss`` builds the generator side's
+objective from these terms.
 """
 
 from __future__ import annotations

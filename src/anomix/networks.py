@@ -166,19 +166,6 @@ class Mlp:
         return out
 
 
-def _network_layouts(arch: ArchConfig) -> dict:
-    """Per network, in NETWORK_NAMES order: layer widths, hidden and
-    output activation."""
-    enc_dims = (arch.input_dim, *arch.encoder_widths, arch.latent_dim)
-    return {
-        "encoder": (enc_dims, "leaky_relu", "linear"),
-        "decoder": (tuple(reversed(enc_dims)), "leaky_relu", "tanh"),
-        "aux_encoder": (enc_dims, "leaky_relu", "linear"),
-        "discriminator": ((arch.input_dim, *arch.discriminator_widths, 1), "leaky_relu", "sigmoid"),
-        "estimator": ((arch.latent_dim, *arch.estimator_widths, arch.n_components), "tanh", "linear"),
-    }
-
-
 @dataclass
 class Model:
     arch: ArchConfig
@@ -214,6 +201,26 @@ def _network_dtype(name: str, dtype) -> np.dtype:
     return np.dtype(dtype if name in NETWORK_NAMES and name != "estimator" else np.float64)
 
 
+def _build_model(arch: ArchConfig, seed: int, layer) -> Model:
+    """The five networks of ``arch``, layer by layer in NETWORK_NAMES
+    order; ``layer(name, i, fan_in, fan_out)`` gives layer i's weight
+    and bias arrays."""
+    enc_dims = (arch.input_dim, *arch.encoder_widths, arch.latent_dim)
+    layouts = {     # layer widths, hidden and output activation
+        "encoder": (enc_dims, "leaky_relu", "linear"),
+        "decoder": (tuple(reversed(enc_dims)), "leaky_relu", "tanh"),
+        "aux_encoder": (enc_dims, "leaky_relu", "linear"),
+        "discriminator": ((arch.input_dim, *arch.discriminator_widths, 1), "leaky_relu", "sigmoid"),
+        "estimator": ((arch.latent_dim, *arch.estimator_widths, arch.n_components), "tanh", "linear"),
+    }
+    nets = {}
+    for name, (dims, hidden, output) in layouts.items():
+        arrays = [layer(name, i, *fans) for i, fans in enumerate(zip(dims[:-1], dims[1:]))]
+        nets[name] = Mlp(name, [Tensor(w) for w, _ in arrays], [Tensor(b) for _, b in arrays],
+                         hidden, output, arch.leaky_slope)
+    return Model(arch=arch, init_seed=seed, **nets)
+
+
 def init_model(arch: ArchConfig, seed: int, dtype=DEFAULT_DTYPE) -> Model:
     """Deterministic Xavier-uniform initialization, biases zero.
 
@@ -222,16 +229,14 @@ def init_model(arch: ArchConfig, seed: int, dtype=DEFAULT_DTYPE) -> Model:
     both dtypes start from the same draws.
     """
     rng = np.random.default_rng(seed)
-    nets = {}
-    for name, (dims, hidden, output) in _network_layouts(arch).items():
+
+    def layer(name, i, fan_in, fan_out):
         net_dtype = _network_dtype(name, dtype)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(net_dtype)))
-            biases.append(Tensor(np.zeros(fan_out, dtype=net_dtype)))
-        nets[name] = Mlp(name, weights, biases, hidden, output, arch.leaky_slope)
-    return Model(arch=arch, init_seed=seed, **nets)
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return (rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(net_dtype),
+                np.zeros(fan_out, dtype=net_dtype))
+
+    return _build_model(arch, seed, layer)
 
 
 def encode(model: Model, x: Tensor) -> Tensor:
@@ -241,8 +246,9 @@ def encode(model: Model, x: Tensor) -> Tensor:
 
 def decode(model: Model, z: Tensor) -> Tensor:
     """Reconstruction [batch x input_dim]; tanh output scaled to the
-    normalized-input range."""
-    return ad.mul(model.decoder.forward(z), model.arch.output_scale)
+    normalized-input range by one ``weighted_sum`` node, in the
+    decoder's dtype."""
+    return ad.weighted_sum([model.decoder.forward(z)], [model.arch.output_scale])
 
 
 def encode_aux(model: Model, x: Tensor) -> Tensor:
@@ -375,17 +381,13 @@ def load_checkpoint(path) -> Checkpoint:
             config_lines.append(line)
     arch = ArchConfig.from_text("\n".join(config_lines))
 
-    nets = {}
-    for name, (dims, hidden, output) in _network_layouts(arch).items():
-        weights, biases = [], []
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            w, b = _array(path, arrays, f"{name}.w{i}"), _array(path, arrays, f"{name}.b{i}")
-            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-                raise FormatError(f"{path}: array shape mismatch for {name} layer {i}")
-            weights.append(Tensor(w))
-            biases.append(Tensor(b))
-        nets[name] = Mlp(name, weights, biases, hidden, output, arch.leaky_slope)
-    model = Model(arch=arch, init_seed=seed, **nets)
+    def layer(name, i, fan_in, fan_out):
+        w, b = _array(path, arrays, f"{name}.w{i}"), _array(path, arrays, f"{name}.b{i}")
+        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
+            raise FormatError(f"{path}: array shape mismatch for {name} layer {i}")
+        return w, b
+
+    model = _build_model(arch, seed, layer)
 
     stats = None
     if "norm.mean" in arrays:

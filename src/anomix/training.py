@@ -38,6 +38,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -72,6 +73,9 @@ class TrainConfig:
     checkpoint_every: int = 100
 
     def validate(self) -> None:
+        for name in ("epochs", "batch_size", "seed", "checkpoint_every"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # Every check is written as "not <what must hold>", so a NaN fails it.
         if not self.epochs >= 0:
             raise InvalidConfigError("epochs must be >= 0")
@@ -327,6 +331,35 @@ def make_train_state(arch: nets.ArchConfig, config: TrainConfig) -> TrainState:
     )
 
 
+class GeneratorLoss(NamedTuple):
+    """The generator side's four terms and their weighted total."""
+
+    image: Tensor
+    adversarial: Tensor
+    latent: Tensor
+    estimation: Tensor
+    total: Tensor
+
+
+def generator_loss(model: nets.Model, x: Tensor, z: Tensor, x_rec: Tensor,
+                   config: TrainConfig) -> GeneratorLoss:
+    """The objective the generator update minimizes, for a batch ``x``,
+    its latent ``z = encode(x)`` and reconstruction ``x_rec = decode(z)``:
+    the four terms of ``losses`` weighted by ``config.weights``, the
+    estimation term on the batch's own mixture statistics with the latent
+    in float64.  The discriminator is evaluated, not trained, here."""
+    z_rec = nets.encode_aux(model, x_rec)
+    z_mix = ad.cast(z, np.float64)
+    gamma = nets.membership(model, z_mix)
+    gmm = mx.estimate_gmm(z_mix, gamma, eps=config.cov_eps)
+    image = ls.image_reconstruction_loss(x, x_rec)
+    latent = ls.latent_representation_loss(z, z_rec)
+    adversarial = ls.generator_adversarial_loss(nets.discriminate(model, x_rec))
+    estimation = mx.estimation_loss(z_mix, gamma, gmm, config.lambda1, config.lambda2)
+    total = ls.total_generator_loss(image, adversarial, latent, estimation, config.weights)
+    return GeneratorLoss(image, adversarial, latent, estimation, total)
+
+
 def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.LossBreakdown:
     """One discriminator update then one generator update on a batch.
 
@@ -338,7 +371,6 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     if batch.ndim != 2 or batch.shape[0] < 2:
         raise InvalidInputError(f"batch must be [n>=2 x features], got {batch.shape}")
     model = state.model
-    w = config.weights
 
     x = Tensor(batch.astype(model.encoder.dtype, copy=False))
     z = nets.encode(model, x)
@@ -348,37 +380,24 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     # reconstruction is a fixed input here.
     disc_loss = ls.discriminator_loss(nets.discriminate(model, x), nets.discriminate(model, x_rec))
     disc_loss_value = disc_loss.item()
-    if w.w_adversarial > 0.0:
+    if config.weights.w_adversarial > 0.0:
         d_params = model.discriminator_parameters()
         grads = ad.backward(disc_loss, d_params)
         adam_update(d_params, grads, state.adam_discriminator, clip_global_norm(grads, config.grad_clip))
 
-    # Generator side: reconstruction, latent round-trip, memberships,
-    # batch mixture statistics, energies.  The discriminator is evaluated
-    # with its fresh parameters but not updated here.  The mixture side
-    # sees the latent in float64.
-    z_rec = nets.encode_aux(model, x_rec)
-    z_mix = ad.cast(z, np.float64)
-    gamma = nets.membership(model, z_mix)
-    gmm = mx.estimate_gmm(z_mix, gamma, eps=config.cov_eps)
-    image_loss = ls.image_reconstruction_loss(x, x_rec)
-    latent_loss = ls.latent_representation_loss(z, z_rec)
-    gen_adv_loss = ls.generator_adversarial_loss(nets.discriminate(model, x_rec))
-    est_loss = mx.estimation_loss(z_mix, gamma, gmm, config.lambda1, config.lambda2)
-    total = ls.total_generator_loss(image_loss, gen_adv_loss, latent_loss, est_loss, w)
-
+    loss = generator_loss(model, x, z, x_rec, config)
     g_params = model.generator_parameters()
-    grads = ad.backward(total, g_params)
+    grads = ad.backward(loss.total, g_params)
     adam_update(g_params, grads, state.adam_generator, clip_global_norm(grads, config.grad_clip))
 
     state.step += 1
     return ls.LossBreakdown(
-        image_reconstruction=image_loss.item(),
-        adversarial_generator=gen_adv_loss.item(),
+        image_reconstruction=loss.image.item(),
+        adversarial_generator=loss.adversarial.item(),
         adversarial_discriminator=disc_loss_value,
-        latent_reconstruction=latent_loss.item(),
-        estimation=est_loss.item(),
-        total=total.item(),
+        latent_reconstruction=loss.latent.item(),
+        estimation=loss.estimation.item(),
+        total=loss.total.item(),
     )
 
 

@@ -11,9 +11,9 @@ maximum observed error:
   (1e-5 relative; 1e-4 through the mixture statistics and energy, whose
   longer chains accumulate more rounding).  ``gradient_cases`` is the
   one list of these cases; the test suite runs the same list and checks
-  that it names every public op returning a ``Tensor``.  The
-  elementwise ``add``, ``sub`` and ``mul`` and the reduction
-  ``tensor_sum`` turn each op's output into a scalar here;
+  that it names every public op returning a ``Tensor``.  Each op's
+  output becomes a scalar here by ``mul`` with a fixed random tensor
+  and ``tensor_sum``, the two combinators;
 * the membership-statistics cross-check between the graph route and the
   classical EM M-step (1e-12);
 * sample energies against ``mixture.mixture_log_pdf``, the naive
@@ -36,6 +36,7 @@ from . import autodiff as ad
 from . import losses as ls
 from . import mixture as mx
 from . import networks as nets
+from . import training as tr
 from .autodiff import Tensor
 
 GRAD_TOL = 1e-5
@@ -86,11 +87,11 @@ def _op_gradient_cases(rng):
     # a step of h = 1e-5 survives the rounding only on small values.
     small = Tensor(1e-5 * rng.standard_normal((4, 3)))
     return [
-        ("op add", lambda: ad.tensor_sum(ad.mul(ad.add(a, b), w)), a),
-        ("op sub", lambda: ad.tensor_sum(ad.mul(ad.sub(a, b), w)), b),
         ("op mul", lambda: ad.tensor_sum(ad.mul(ad.mul(a, b), w)), a),
         ("op tensor_sum", lambda: ad.tensor_sum(a), a),
         ("op weighted_sum", lambda: ad.weighted_sum([ad.tensor_sum(ad.mul(a, w)), ad.tensor_sum(a)], [0.7, -1.3]), a),
+        ("op weighted_sum of tensors",
+         lambda: ad.tensor_sum(ad.mul(ad.weighted_sum([a, b, a], [0.7, -1.3, 2.0]), w)), a),
         ("op softmax_rows", lambda: ad.tensor_sum(ad.mul(ad.softmax_rows(a), w)), a),
         ("op l1_distance d/da", lambda: ad.l1_distance(a, b), a),
         ("op l1_distance d/db", lambda: ad.l1_distance(a, b), b),
@@ -226,8 +227,9 @@ def gradient_checks(seed: int = 0, instances: int = INSTANCES) -> list[CheckResu
 
 
 def full_pipeline_gradient_check(seed: int = 0) -> CheckResult:
-    """Finite differences through the whole generator objective, network
-    parameters included, on a small model and batch."""
+    """Finite differences through ``training.generator_loss``, the
+    objective the generator update minimizes, network parameters
+    included, on a small model and batch."""
     arch = nets.ArchConfig(
         input_dim=16, latent_dim=2, n_components=2,
         encoder_widths=(6,), discriminator_widths=(5,), estimator_widths=(4,),
@@ -235,22 +237,11 @@ def full_pipeline_gradient_check(seed: int = 0) -> CheckResult:
     model = nets.init_model(arch, seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 999)
     x = Tensor(rng.standard_normal((5, 16)))
-    weights = ls.LossWeights()
+    config = tr.TrainConfig(cov_eps=1e-3)
 
     def total():
         z = nets.encode(model, x)
-        x_rec = nets.decode(model, z)
-        z_rec = nets.encode_aux(model, x_rec)
-        gamma = nets.membership(model, z)
-        params = mx.estimate_gmm(z, gamma, eps=1e-3)
-        d_fake = nets.discriminate(model, x_rec)
-        return ls.total_generator_loss(
-            ls.image_reconstruction_loss(x, x_rec),
-            ls.generator_adversarial_loss(d_fake),
-            ls.latent_representation_loss(z, z_rec),
-            mx.estimation_loss(z, gamma, params, 0.1, 0.005),
-            weights,
-        )
+        return tr.generator_loss(model, x, z, nets.decode(model, z), config).total
 
     max_err = 0.0
     probe = [model.encoder.weights[0], model.decoder.biases[0],

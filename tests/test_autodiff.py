@@ -1,5 +1,6 @@
 """Tensor op semantics, gradients vs central finite differences, graph rules."""
 
+import inspect
 import math
 
 import numpy as np
@@ -36,17 +37,39 @@ class TestElementwise:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            ad.add(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0, 3.0]))
-
-    def test_scalar_broadcast_allowed(self):
-        x = ad.Tensor([1.0, 2.0])
-        np.testing.assert_allclose(ad.mul(x, 2.0).data, [2.0, 4.0])
-        np.testing.assert_allclose(ad.sub(3.0, x).data, [2.0, 1.0])
+            ad.mul(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0, 3.0]))
+        # Nothing broadcasts, a 0-d operand included.
+        with pytest.raises(ShapeError):
+            ad.mul(ad.Tensor([1.0, 2.0]), ad.Tensor(2.0))
 
     def test_nonfinite_forward_raises(self):
         x = ad.Tensor([1e200])
         with pytest.raises(NumericError):
             ad.mul(x, x)
+
+
+def _multi_operand_ops():
+    """Every op with several tensor operands, as (call, float64 operand
+    arrays) that the call accepts."""
+    rng = np.random.default_rng(70)
+    x, y = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    g = rng.uniform(0.1, 1.0, size=(4, 2))
+    m = rng.standard_normal((2, 3, 3))
+    return {
+        "mul": (ad.mul, [x, y]),
+        "weighted_sum": (lambda a, b: ad.weighted_sum([a, b], [1.0, 2.0]), [x, y]),
+        "l1_distance": (ad.l1_distance, [x, y]),
+        "l2_distance": (ad.l2_distance, [x, y]),
+        "dense": (lambda a, w, b: ad.dense(a, w, b, "tanh"), [x, rng.standard_normal((3, 2)), np.zeros(2)]),
+        "mixture_moments": (lambda z, gamma: ad.mixture_moments(z, gamma, 1e-3, 1e-12),
+                            [x, g / g.sum(axis=1, keepdims=True)]),
+        "gaussian_log_densities": (ad.gaussian_log_densities,
+                                   [x, rng.standard_normal((2, 3)), m @ m.transpose(0, 2, 1) + np.eye(3)]),
+        "mixture_energy": (ad.mixture_energy, [rng.standard_normal((4, 2)), np.array([0.4, 0.6])]),
+    }
+
+
+MULTI_OPERAND_OPS = _multi_operand_ops()
 
 
 def _sigmoid_oracle(h):
@@ -108,20 +131,6 @@ class TestDense:
         for g, want in zip(got, _numpy_dense(*operands, "leaky_relu", slope)):
             assert g.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("wide", range(3))
-    def test_mixed_dtypes_compute_in_float64(self, wide):
-        # One operand float64, the other two float32: the whole layer
-        # computes in float64, and each cotangent has its operand's dtype.
-        operands = self._operands(np.float64, seed=52)
-        x, w, b = (a if i == wide else a.astype(np.float32) for i, a in enumerate(operands[:3]))
-        y, *grads = _dense_and_grads(x, w, b, operands[3], "tanh", 0.2)
-        want = _numpy_dense(*(a.astype(np.float64) for a in (x, w, b)), operands[3], "tanh", 0.2)
-        assert y.dtype == np.float64
-        np.testing.assert_array_equal(y, want[0])
-        for g, exp, operand in zip(grads, want[1:], (x, w, b)):
-            assert g.dtype == operand.dtype
-            np.testing.assert_array_equal(g, exp.astype(operand.dtype))
-
     def test_one_node_per_layer(self):
         x, w, b = (ad.Tensor(a) for a in self._operands(np.float64)[:3])
         assert ad.dense(x, w, b, "sigmoid")._parents == (x, w, b)
@@ -151,33 +160,60 @@ class TestDtypeRule:
             assert ad.Tensor(data).data.dtype == np.float64
 
     def test_python_scalar_takes_partner_dtype(self):
+        # A weight scales float32 terms in float32: rounded to float32 first.
         x = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32))
-        assert ad.mul(x, 0.1).data.dtype == np.float32
-        assert ad.sub(1.0, x).data.dtype == np.float32
+        y = ad.weighted_sum([x], [0.1])
+        assert y.data.dtype == np.float32
+        assert y.data.tobytes() == (x.data * np.float32(0.1)).tobytes()
 
     def test_python_scalar_is_a_constant_not_a_node(self):
         x = ad.Tensor([1.0, 2.0])
-        assert ad.mul(x, 2.0)._parents == (x,)
-        assert ad.sub(3.0, x)._parents == (x,)
-        (g,) = ad.backward(ad.tensor_sum(ad.sub(6.0, ad.mul(ad.mul(x, x), 1.5))), [x])
+        assert ad.weighted_sum([x], [2.0])._parents == (x,)
+        (g,) = ad.backward(ad.tensor_sum(ad.weighted_sum([ad.mul(x, x)], [-1.5])), [x])
         np.testing.assert_array_equal(g, [-3.0, -6.0])
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e39])
     def test_non_finite_scalar_raises(self, value):
         # 1e39 is finite as a Python float, but not as float32.  The
-        # operand is refused before the op runs, whatever its result.
+        # weight is refused before the op runs, whatever its result.
         x = ad.Tensor(np.array([0.0, 2.0], dtype=np.float32))
-        with pytest.raises(NumericError, match="scalar operand"):
-            ad.mul(x, value)
+        with pytest.raises(NumericError, match="not all finite as float32"):
+            ad.weighted_sum([x], [value])
 
-    def test_mixed_op_is_float64_and_each_cotangent_has_its_node_dtype(self):
-        a = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32))
-        b = ad.Tensor(np.array([3.0, 4.0]))
-        y = ad.mul(a, b)
-        assert y.data.dtype == np.float64
-        ga, gb = ad.backward(ad.tensor_sum(y), [a, b])
-        assert ga.dtype == np.float32 and gb.dtype == np.float64
-        np.testing.assert_array_equal(ga, [3.0, 4.0])
+    @pytest.mark.parametrize("op, wide", [
+        (op, i) for op, (_, arrays) in MULTI_OPERAND_OPS.items() for i in range(len(arrays))
+    ])
+    def test_every_multi_operand_op_rejects_mixed_dtypes(self, op, wide):
+        # Operand ``wide`` float64, the others float32.
+        fn, arrays = MULTI_OPERAND_OPS[op]
+        fn(*(ad.Tensor(a) for a in arrays))     # one dtype: accepted
+        with pytest.raises(ShapeError, match="operands of dtypes"):
+            fn(*(ad.Tensor(a if i == wide else a.astype(np.float32)) for i, a in enumerate(arrays)))
+
+    @pytest.mark.parametrize("op", ["mixture_moments", "gaussian_log_densities", "mixture_energy"])
+    def test_mixture_ops_take_float64_only(self, op):
+        fn, arrays = MULTI_OPERAND_OPS[op]
+        with pytest.raises(ShapeError, match="not all float64"):
+            fn(*(ad.Tensor(a.astype(np.float32)) for a in arrays))
+
+    def test_mixed_dtype_cases_cover_every_multi_operand_op(self):
+        # A public function returning tensors, with two Tensor parameters
+        # or a sequence of them.
+        ops = set()
+        for name, fn in vars(ad).items():
+            if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_"):
+                sig = inspect.signature(fn)
+                operands = [str(p.annotation) for p in sig.parameters.values() if "Tensor" in str(p.annotation)]
+                if "Tensor" in str(sig.return_annotation) and (len(operands) >= 2 or "Sequence[Tensor]" in operands):
+                    ops.add(name)
+        assert ops == set(MULTI_OPERAND_OPS)
+
+    def test_cotangent_of_another_dtype_raises(self):
+        # Only cast's backward converts; an op that handed a node a
+        # cotangent of another dtype would be caught here.
+        x = ad.Tensor(np.zeros(2, dtype=np.float32))
+        with pytest.raises(ShapeError):
+            x._accum_cot(np.zeros(2))
 
     def test_scalar_reductions_accumulate_in_float64(self):
         # 2**24 + 1 is not a float32 value, so a float32 sum would drop the 1.
@@ -197,7 +233,7 @@ class TestDtypeRule:
         assert ad.cast(x, np.float64) is x
         y = ad.cast(x, np.float32)
         assert y.data.dtype == np.float32
-        (g,) = ad.backward(ad.tensor_sum(ad.mul(y, 3.0)), [x])
+        (g,) = ad.backward(ad.tensor_sum(ad.weighted_sum([y], [3.0])), [x])
         assert g.dtype == np.float64
         np.testing.assert_array_equal(g, [3.0, 3.0])
 
@@ -335,6 +371,14 @@ class TestFusedOps:
         with pytest.raises(NumericError):
             ad.weighted_sum([s, t], [1.0, np.inf])
 
+    def test_weighted_sum_of_tensors(self):
+        x, y = ad.Tensor([[1.0, -2.0]]), ad.Tensor([[0.5, 3.0]])
+        total = ad.weighted_sum([x, y, x], [2.0, -1.0, 0.25])
+        np.testing.assert_array_equal(total.data, x.data * 2.0 + y.data * -1.0 + x.data * 0.25)
+        gx, gy = ad.backward(ad.tensor_sum(ad.mul(total, ad.Tensor([[1.0, 2.0]]))), [x, y])
+        np.testing.assert_array_equal(gx, [[2.25, 4.5]])
+        np.testing.assert_array_equal(gy, [[-1.0, -2.0]])
+
     def test_mixture_energy_with_a_zero_weight(self):
         rng = np.random.default_rng(62)
         log_dens = rng.uniform(-8.0, 2.0, size=(6, 3))
@@ -392,7 +436,7 @@ class TestGraph:
     def test_backward_requires_scalar(self):
         x = ad.Tensor([1.0, 2.0])
         with pytest.raises(ShapeError):
-            ad.backward(ad.mul(x, 2.0), [x])
+            ad.backward(ad.mul(x, x), [x])
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(2)
@@ -412,9 +456,10 @@ def _graph(rng):
     b = ad.Tensor(rng.standard_normal((3, 5)))
     unused = ad.Tensor(rng.standard_normal((4, 5)))
     shared = ad.dense(a, b, ad.Tensor(np.zeros(5)), "tanh")
-    ad.add(shared, unused)
+    ad.mul(shared, unused)
     w = ad.Tensor(rng.standard_normal((4, 5)))
-    loss = ad.add(ad.tensor_sum(ad.mul(shared, shared)), ad.tensor_sum(ad.mul(ad.softmax_rows(shared), w)))
+    loss = ad.weighted_sum([ad.tensor_sum(ad.mul(shared, shared)),
+                            ad.tensor_sum(ad.mul(ad.softmax_rows(shared), w))], [1.0, 1.0])
     return loss, a, b, unused
 
 
@@ -474,21 +519,25 @@ class TestGradientOwnership:
     def test_add_with_both_operands_wanted(self):
         rng = np.random.default_rng(40)
         a, b, w = (ad.Tensor(rng.standard_normal((3, 4))) for _ in range(3))
-        _assert_gradients_owned(ad.tensor_sum(ad.mul(ad.add(a, b), w)), [a, b, w])
+        _assert_gradients_owned(ad.tensor_sum(ad.mul(ad.weighted_sum([a, b], [1.0, 1.0]), w)), [a, b, w])
 
     def test_shared_cotangent_not_written_by_a_later_one(self):
-        # add hands one array to both operands; a's second contribution
-        # must not land in b's cotangent.
+        # The mixture weights hand gamma a read-only broadcast view of
+        # their own cotangent; gamma's second contribution, through mul,
+        # must be added out of place.
         rng = np.random.default_rng(43)
-        a, b, w, w2 = (ad.Tensor(rng.standard_normal((3, 4))) for _ in range(4))
-        loss = ad.add(ad.tensor_sum(ad.mul(ad.add(a, b), w)), ad.tensor_sum(ad.mul(a, w2)))
-        grad_a, grad_b = ad.backward(loss, [a, b])
-        np.testing.assert_array_equal(grad_a, w.data + w2.data)
-        np.testing.assert_array_equal(grad_b, w.data)
+        g = rng.uniform(0.1, 1.0, size=(5, 3))
+        gamma = ad.Tensor(g / g.sum(axis=1, keepdims=True))
+        c, w2 = rng.standard_normal(3), ad.Tensor(rng.standard_normal((5, 3)))
+        weights, _, _ = ad.mixture_moments(ad.Tensor(rng.standard_normal((5, 2))), gamma, 1e-3, 1e-12)
+        loss = ad.weighted_sum([ad.tensor_sum(ad.mul(weights, ad.Tensor(c))),
+                                ad.tensor_sum(ad.mul(gamma, w2))], [1.0, 1.0])
+        (grad,) = ad.backward(loss, [gamma])
+        np.testing.assert_array_equal(grad, c * (1.0 / 5) + w2.data)
 
     def test_add_of_a_tensor_to_itself(self):
         a = ad.Tensor(np.random.default_rng(41).standard_normal((3, 4)))
-        loss = ad.tensor_sum(ad.mul(ad.add(a, a), a))
+        loss = ad.tensor_sum(ad.mul(ad.weighted_sum([a, a], [1.0, 1.0]), a))
         _assert_gradients_owned(loss, [a])
         _assert_gradients_owned(loss, [a, a])
 
@@ -506,7 +555,7 @@ class TestGradientOwnership:
 
     def test_scalar_leaf(self):
         s = ad.Tensor(1.5)
-        _assert_gradients_owned(ad.mul(ad.add(s, s), -1.0), [s])
+        _assert_gradients_owned(ad.weighted_sum([s, s], [-1.0, -1.0]), [s])
 
 
 class TestStructuredOps:

@@ -82,6 +82,23 @@ class TestForwardContracts:
         x2 = nets.decode(model, nets.encode(model, x))
         assert x2.shape == x.shape
 
+    def test_decode_scales_in_the_decoders_dtype(self):
+        # One node after the decoder's tanh: value and cotangent are the
+        # float32 products with the float32 scale, bit for bit.
+        model = small_model(6)
+        dec = model.decoder
+        rng = np.random.default_rng(6)
+        z = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
+        out = nets.decode(model, z)
+        (tanh_out,) = out._parents
+        scale = np.float32(SMALL.output_scale)
+        h = nets.Mlp("decoder", dec.weights, dec.biases, dec.hidden, "linear", dec.leaky_slope).forward(z).data
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == (np.tanh(h) * scale).tobytes()
+        c = rng.standard_normal(out.shape).astype(np.float32)
+        (g,) = ad.backward(ad.tensor_sum(ad.mul(out, Tensor(c))), [tanh_out])
+        assert g.dtype == np.float32 and g.tobytes() == (c * scale).tobytes()
+
     def test_decoder_output_within_scale(self):
         model = small_model(2)
         z = Tensor(np.random.default_rng(2).standard_normal((9, 4)) * 50)

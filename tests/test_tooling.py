@@ -1,16 +1,26 @@
-"""The benchmark's span list names only functions that exist.
+"""Checks on the code itself, not on what it computes.
 
 ``benchmark/spans.py`` wraps each (module, attribute) of its ``TRACED``
 list when a traced benchmark run starts, so a function deleted or
 renamed here would break traced runs while the rest of this suite still
 passes.  The file is loaded read-only: no bytecode is written beside it.
+
+Every public ``autodiff`` op has a use in the package outside
+``verify``, so no op is kept only to be checked.
 """
 
+import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+from anomix import autodiff as ad
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "benchmark" / "spans.py"
+# verify weighs each op's output with ``mul`` to make its scalar probes.
+PROBE_COMBINATORS = {"mul"}
 
 
 def test_every_traced_function_resolves(monkeypatch):
@@ -23,3 +33,21 @@ def test_every_traced_function_resolves(monkeypatch):
     missing = [f"{module.__name__}.{attr}" for module, attr in spans.TRACED
                if not callable(getattr(module, attr, None))]
     assert not missing, f"benchmark/spans.py traces missing functions: {missing}"
+
+
+def test_every_autodiff_op_has_a_caller_outside_verify():
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
+           and "Tensor" in str(inspect.signature(fn).return_annotation)}
+    assert {"dense", "weighted_sum", "cast"} <= ops, ops
+    used = set()
+    for path in (ROOT / "src" / "anomix").glob("*.py"):
+        if path.stem in ("autodiff", "verify"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "ad":
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                used.update(alias.name for alias in node.names)
+    unused = sorted(ops - used - PROBE_COMBINATORS)
+    assert not unused, f"autodiff ops with no caller outside verify: {unused}"

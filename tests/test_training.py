@@ -388,7 +388,7 @@ class TestTrainStep:
 
     def test_no_large_float64_array_in_a_step(self, monkeypatch):
         # Watches every tensor the step builds and every cotangent passed
-        # to a node, before it is cast to the node's dtype.  The float64
+        # to a node.  The float64
         # mixture side works on arrays of up to [K x n x d] elements.
         state, batch = self._state_and_batch()
         tensors, cotangents = [], []
@@ -478,12 +478,12 @@ class TestGraphSize:
         state, design = self._state_and_design()
         # One dense node per layer: encoder 3, decoder 3, discriminator
         # 2 three times, auxiliary encoder 3, estimator 2.  The other 19:
-        # the input, the decoder's output scale, the latent cast, the
-        # membership softmax; the discriminator loss's two cross-entropies
-        # and their sum; the image, latent and generator-adversarial
-        # terms; the mixture weights, means and covariances; the
-        # estimation loss's log densities, energy, energy sum, penalty and
-        # weighted sum; and the total.
+        # the input, the decoder's output scale (a weighted_sum), the
+        # latent cast, the membership softmax; the discriminator loss's
+        # two cross-entropies and their sum; the image, latent and
+        # generator-adversarial terms; the mixture weights, means and
+        # covariances; the estimation loss's log densities, energy,
+        # energy sum, penalty and weighted sum; and the total.
         assert nodes_made_by(lambda: tr.train_step(state, design, TINY_CONFIG)) == 17 + 19
 
     @pytest.mark.parametrize("mode, layers, others", [
@@ -632,6 +632,11 @@ class TestConfigValidation:
         dict(weights=LossWeights(w_adversarial=float("nan"))),
         dict(weights=LossWeights(w_latent=float("inf"))),
         dict(weights=LossWeights(w_estimation=float("nan"))),
+        dict(batch_size=16.5),
+        dict(epochs=1.5),
+        dict(seed=1.5),
+        dict(checkpoint_every=2.5),
+        dict(epochs=2.0),
     ])
     def test_invalid_configs_rejected(self, bad):
         cfg = tr.TrainConfig(**bad)
@@ -646,6 +651,10 @@ class TestConfigValidation:
     def test_train_state_rejects_invalid_arch(self):
         with pytest.raises(InvalidConfigError, match="input_dim"):
             tr.make_train_state(nets.ArchConfig(input_dim=0), tr.TrainConfig())
+
+    def test_numpy_integers_are_valid(self):
+        tr.TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.uint8(3),
+                       checkpoint_every=np.int64(5)).validate()
 
     def test_zero_loss_weights_and_cov_eps_are_valid(self):
         tr.TrainConfig(weights=LossWeights(0.0, 0.0, 0.0, 0.0), cov_eps=0.0, lambda1=0.0).validate()
