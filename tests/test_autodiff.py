@@ -38,9 +38,13 @@ class TestElementwise:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             ad.mul(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0, 3.0]))
-        # Nothing broadcasts, a 0-d operand included.
+
+    def test_scalar_operand_raises(self):
+        # Nothing broadcasts, a 0-d operand included, on either side.
         with pytest.raises(ShapeError):
             ad.mul(ad.Tensor([1.0, 2.0]), ad.Tensor(2.0))
+        with pytest.raises(ShapeError):
+            ad.mul(ad.Tensor(3.0), ad.Tensor([1.0, 2.0]))
 
     def test_nonfinite_forward_raises(self):
         x = ad.Tensor([1e200])
