@@ -381,6 +381,16 @@ def _sigmoid_in_place(h: np.ndarray) -> None:
     np.divide(e, denom, out=h, where=~pos)
 
 
+def _leaky_factor(mask: np.ndarray, slope: float, dtype) -> np.ndarray:
+    # 1 where mask, slope elsewhere, as 0·slope + 1 and 1·slope + 0: a
+    # product and a sum per element, where a masked multiply or np.where
+    # branches on every one.
+    f = (~mask).astype(dtype)
+    f *= slope
+    f += mask
+    return f
+
+
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: float = 0.2) -> Tensor:
     """One fully connected layer, act(x @ w + b), as one node: input
     [n x k], weights [k x m], bias [m], output [n x m].
@@ -390,6 +400,15 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: fl
     the activation run in place in the product, in the operands' one
     dtype.  Backward: with gh the cotangent through the activation,
     dx = gh wᵀ, dw = xᵀ gh and db = Σ_rows gh.
+
+    leaky_relu multiplies by a factor built branch-free from the sign
+    mask, exactly 1 where the pre-activation is positive and the slope
+    in the operands' dtype elsewhere, so its values and cotangents are
+    bitwise a branchy select's for every slope finite in that dtype
+    (but -0.0, which acts as +0.0).
+    The node keeps the one-byte mask and rebuilds the factor in the
+    backward: a kept factor would hold a second output-sized array for
+    as long as the graph lives.
     """
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"dense: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
@@ -405,7 +424,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: fl
             raise NumericError("non-finite values produced by 'dense' before its activation")
         if activation == "leaky_relu":
             mask = h > 0.0
-            np.multiply(h, slope, out=h, where=~mask)
+            h *= _leaky_factor(mask, slope, h.dtype)
         elif activation == "tanh":
             np.tanh(h, out=h)
         elif activation == "sigmoid":
@@ -415,7 +434,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: fl
     def bwd(g: np.ndarray) -> None:
         # h holds the activation's output; mask, the sign before it.
         if activation == "leaky_relu":
-            g = np.where(mask, g, slope * g)
+            g = g * _leaky_factor(mask, slope, g.dtype)
         elif activation == "tanh":
             g = g * (1.0 - h * h)
         elif activation == "sigmoid":
@@ -507,8 +526,10 @@ def gaussian_log_densities(z: Tensor, means: Tensor, covs: Tensor) -> Tensor:
     Each covariance is read as (C + Cᵀ)/2 and factorised once, C = LLᵀ.
     With r_ik = cov_k⁻¹ (z_i - mean_k), the covariance gradient is
     ½ Σ_i g_ik (r_ik r_ikᵀ - cov_k⁻¹), exact for every entry of C.  The
-    backward solves once, for L⁻¹, and takes cov⁻¹ = L⁻ᵀL⁻¹ and r from
-    it by batched products.
+    node solves once, for L⁻¹ in the forward, and takes L⁻¹(z_i - mean_k)
+    from it there; the backward takes cov⁻¹ = L⁻ᵀL⁻¹ and r from the same
+    L⁻¹ by batched products.  One solve with d right-hand sides and a
+    product beat a solve with n of them.
     """
     if (z.ndim != 2 or means.ndim != 2 or covs.ndim != 3 or z.shape[1] != means.shape[1]
             or covs.shape != (means.shape[0], means.shape[1], means.shape[1])):
@@ -521,15 +542,16 @@ def gaussian_log_densities(z: Tensor, means: Tensor, covs: Tensor) -> Tensor:
         chol = np.linalg.cholesky((covs.data + covs.data.transpose(0, 2, 1)) / 2.0)
     except np.linalg.LinAlgError as err:
         raise NumericError("gaussian_log_densities: covariance is not positive definite") from err
+    chol_inv = np.linalg.solve(chol, np.broadcast_to(np.eye(d), chol.shape))
     centered = z.data[None, :, :] - means.data[:, None, :]   # [K x n x d]
-    solved = np.linalg.solve(chol, centered.transpose(0, 2, 1))  # L⁻¹ (z_i - mean_k), [K x d x n]
+    solved = chol_inv @ centered.transpose(0, 2, 1)          # L⁻¹ (z_i - mean_k), [K x d x n]
     quad = (solved * solved).sum(axis=1)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     out = Tensor((-0.5 * (quad + logdet[:, None] + d * _LOG_TWO_PI)).T,
                  _parents=(z, means, covs), _op="gaussian_log_densities")
 
     def bwd(g: np.ndarray) -> None:
-        chol_inv_t = np.linalg.solve(chol, np.broadcast_to(np.eye(d), chol.shape)).transpose(0, 2, 1)
+        chol_inv_t = chol_inv.transpose(0, 2, 1)
         r = (chol_inv_t @ solved).transpose(0, 2, 1)            # [K x n x d]
         gr = g.T[:, :, None] * r
         if z._needed:

@@ -100,9 +100,8 @@ def score_patchset(
         ]
     # codes[i] numbers patch i's clip in order of first appearance; a
     # stable sort puts each clip's patches together, its first one first.
-    index: dict[str, int] = {}
-    codes = np.fromiter((index.setdefault(sid, len(index)) for sid in patchset.source_ids),
-                        dtype=np.intp, count=len(patchset))
+    index = {sid: i for i, sid in enumerate(dict.fromkeys(patchset.source_ids))}
+    codes = np.fromiter(map(index.__getitem__, patchset.source_ids), dtype=np.intp, count=len(patchset))
     order = np.argsort(codes, kind="stable")
     starts = np.searchsorted(codes[order], np.arange(len(index)))
     clip_scores = np.maximum.reduceat(scores[order], starts)

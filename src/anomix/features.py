@@ -68,8 +68,9 @@ class AudioClip:
             raise InvalidInputError("sample rate must be positive")
 
 
-# Float64 elements in NormStats.apply's scratch block: 512 KiB, or 16
-# patches of 64 x 64, so a block stays in cache between its two passes.
+# Float64 elements in NormStats.apply's scratch block and its two tiles:
+# 512 KiB, or 14 patches of 64 x 64 beside a mean and a std tile, so a
+# block stays in cache between its two passes.
 NORM_BLOCK = 65536
 
 
@@ -85,11 +86,14 @@ class NormStats:
         stored as ``dtype``.
 
         ``patches`` is one [bands x frames] patch or a stack
-        [..., bands, frames].  The patches are walked in blocks through a
-        float64 scratch of at most ``NORM_BLOCK`` elements (one patch if
-        a patch is larger), and each block is copied into the output as
-        ``dtype``, so asking for float32 builds no full-size float64
-        array.  The result is bitwise
+        [..., bands, frames].  The mean and std are tiled to full
+        [bands x frames] patches, so that each subtract and divide walks
+        whole patches rather than one band's row at a time.  The patches
+        are walked in blocks through a float64 scratch, and the scratch
+        and the two tiles together hold at most ``NORM_BLOCK`` elements
+        (one patch beside the tiles if a patch is larger).  Each block is
+        copied into the output as ``dtype``, so asking for float32 builds
+        no full-size float64 array.  The result is bitwise
         ``apply(patches).astype(dtype)``.  A value beyond ``dtype``'s
         range becomes inf, which the ``Tensor`` check on the networks'
         input reports.
@@ -98,9 +102,10 @@ class NormStats:
         out = np.empty(patches.shape, dtype)
         rows = patches.reshape(-1, *patches.shape[-2:])
         out_rows = out.reshape(rows.shape)
-        mean, std = self.mean[:, None], self.std[:, None]
-        step = max(1, NORM_BLOCK // max(1, rows.shape[1] * rows.shape[2]))
-        scratch = np.empty((min(step, len(rows)), *rows.shape[1:]))
+        bands, frames = rows.shape[1:]
+        mean, std = (np.repeat(v[:, None], frames, axis=1) for v in (self.mean, self.std))
+        step = max(1, NORM_BLOCK // max(1, bands * frames) - 2)
+        scratch = np.empty((min(step, len(rows)), bands, frames))
         with np.errstate(over="ignore"):
             for start in range(0, len(rows), step):
                 block = rows[start:start + step]

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,39 @@ class TestDense:
         got = _dense_and_grads(*operands, "leaky_relu", slope)
         for g, want in zip(got, _numpy_dense(*operands, "leaky_relu", slope)):
             assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype, tiny", [(np.float32, 1e-30), (np.float64, 1e-200)])
+    @pytest.mark.parametrize("slope", [0.5, 1.0])
+    def test_leaky_relu_is_exact_at_signed_zeros(self, slope, tiny, dtype):
+        # Row 0 is zero, so columns 0 and 1 read +0 + -0 = +0.  Row 1's
+        # products there underflow to -0, and a -0 bias keeps that sign
+        # (an FMA kernel keeps the sign of an underflowed product).
+        x, w, _, c = self._operands(dtype, seed=52)
+        x[0], x[1] = 0.0, tiny
+        w[:, :2] = -tiny
+        b = np.array([-0.0, -0.0, 0.0, 0.3, -0.3], dtype=dtype)
+        zeros = (x @ w + b)[:2, :2]
+        assert (zeros == 0.0).all() and np.signbit(zeros[1]).all() and not np.signbit(zeros[0]).any()
+        got = _dense_and_grads(x, w, b, c, "leaky_relu", slope)
+        for g, want in zip(got, _numpy_dense(x, w, b, c, "leaky_relu", slope)):
+            assert g.dtype == dtype and g.tobytes() == want.tobytes()
+
+    def test_leaky_relu_node_keeps_a_mask_not_a_float_factor(self):
+        # The node outlives its forward; a float factor kept for the
+        # backward would hold a second output-sized array as long.
+        rng = np.random.default_rng(53)
+        x = ad.Tensor(rng.standard_normal((832, 4096), dtype=np.float32))
+        w = ad.Tensor(rng.standard_normal((4096, 512), dtype=np.float32) * np.float32(0.02))
+        b = ad.Tensor(np.zeros(512, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = ad.dense(x, w, b, "leaky_relu")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # The output, one byte per element of mask, and 64 KiB for small
+        # objects; a float32 factor would add 1.6 MiB.
+        assert held <= out.data.nbytes + out.data.size + 64 * 1024, held
 
     def test_one_node_per_layer(self):
         x, w, b = (ad.Tensor(a) for a in self._operands(np.float64)[:3])
@@ -608,6 +642,16 @@ class TestStructuredOps:
         np.testing.assert_allclose(gm, cr.sum(axis=1), rtol=1e-10)
         want = 0.5 * (np.einsum("kid,kie->kde", cr, r) - c.sum(axis=0)[:, None, None] * inv)
         np.testing.assert_allclose(gc, want, rtol=1e-10)
+
+    def test_gaussian_log_densities_solve_once_per_node(self, monkeypatch):
+        # The forward solves for L⁻¹ once; the backward reuses it.
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(ad.np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        z, means, m = MULTI_OPERAND_OPS["gaussian_log_densities"][1]
+        tz, tm, tc = ad.Tensor(z), ad.Tensor(means), ad.Tensor(m)
+        ad.backward(ad.tensor_sum(ad.gaussian_log_densities(tz, tm, tc)), [tz, tm, tc])
+        assert len(calls) == 1
 
     def test_gaussian_log_densities_reject_indefinite(self):
         covs = ad.Tensor(np.stack([np.eye(2), np.diag([1.0, -1.0])]))

@@ -6,7 +6,8 @@ renamed here would break traced runs while the rest of this suite still
 passes.  The file is loaded read-only: no bytecode is written beside it.
 
 Every public ``autodiff`` op has a use in the package outside
-``verify``, so no op is kept only to be checked.
+``verify``, so no op is kept only to be checked.  ``dense``'s
+activation selects no branch per element.
 """
 
 import ast
@@ -51,3 +52,13 @@ def test_every_autodiff_op_has_a_caller_outside_verify():
                 used.update(alias.name for alias in node.names)
     unused = sorted(ops - used - PROBE_COMBINATORS)
     assert not unused, f"autodiff ops with no caller outside verify: {unused}"
+
+
+def test_dense_activation_has_no_masked_select():
+    # A masked multiply (``where=``) or ``np.where`` over a random-sign
+    # mask costs 8-10 ns per element against ~0.5 ns for a plain product
+    # by a factor array: 0.63-0.81 ms against 0.04 ms on a float32
+    # [1216 x 64] block (Xeon, numpy 2.4, one thread).
+    for name in ("dense", "_leaky_factor"):
+        source = inspect.getsource(getattr(ad, name))
+        assert "where=" not in source and "np.where(" not in source, name
