@@ -41,6 +41,7 @@ float32 model and narrows each network array once.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, fields
 
@@ -76,16 +77,20 @@ class ArchConfig:
     output_scale: float = 4.0   # decoder tanh covers this many std units
 
     def validate(self) -> None:
-        """Every dim and width >= 1 (a width tuple may be empty),
-        leaky_slope finite, output_scale finite and positive."""
+        """Every dim and width an integer >= 1 (a width tuple may be
+        empty), leaky_slope a finite number, output_scale a finite
+        positive number."""
         sizes = {
             "input_dim": (self.input_dim,), "latent_dim": (self.latent_dim,),
             "n_components": (self.n_components,), "encoder_widths": self.encoder_widths,
             "discriminator_widths": self.discriminator_widths, "estimator_widths": self.estimator_widths,
         }
         for name, values in sizes.items():
-            if not all(v >= 1 for v in values):
-                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if not all(isinstance(v, numbers.Integral) and v >= 1 for v in values):
+                raise InvalidConfigError(f"{name} must be integers >= 1, got {getattr(self, name)!r}")
+        for name in ("leaky_slope", "output_scale"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not math.isfinite(self.leaky_slope):
             raise InvalidConfigError(f"leaky_slope must be finite, got {self.leaky_slope}")
         if not (math.isfinite(self.output_scale) and self.output_scale > 0):

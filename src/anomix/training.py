@@ -15,18 +15,21 @@ Adam moments.  The latent is cast to float64 once, where it enters the
 estimator and the mixture statistics, and every loss is a float64
 scalar (see ``autodiff``).
 
-Each update clips its group's gradients to a joint norm and takes one
-Adam step, in one pass over cache-sized blocks: ``clip_global_norm``
-only reads the gradients, to compute the factor, and ``adam_update``
-folds the factor into the first coefficient of each block, so neither
-builds a full-size temporary and no pass writes scaled gradients.  The
-step is Adam in the efficient form Kingma & Ba give at the end of their
-section 2 (arXiv 1412.6980): the bias corrections go into the step size
-and epsilon, so no block is divided by them.  Every coefficient is a
-Python float, which under numpy's promotion rules takes the dtype of the
-array it meets, so a float32 block is computed in float32 throughout;
-only the norm's per-leaf sums are added in float64, and its dots are
-taken again in float64 when a float32 one overflows.
+Each group's ``AdamState`` holds the values of its parameters in one
+flat buffer per dtype, beside the moments.  Each update clips the
+group's gradients to a joint norm and takes one Adam step, in one pass
+over cache-sized blocks of those buffers: ``clip_global_norm`` only
+reads the gradients, to compute the factor, and ``adam_update`` copies
+each block's share of the gradients into a block-sized buffer and folds
+the factor into its first coefficient, so neither builds a full-size
+temporary and neither writes a gradient.  The step is Adam in the
+efficient form Kingma & Ba give at the end of their section 2 (arXiv
+1412.6980): the bias corrections go into the step size and epsilon, so
+no block is divided by them.  Every coefficient is a Python float, which
+under numpy's promotion rules takes the dtype of the array it meets, so
+a float32 block is computed in float32 throughout; only the norm's
+per-leaf sums are added in float64, and its dots are taken again in
+float64 when a float32 one overflows.
 
 Everything is deterministic in (seed, config, data): initialization,
 shuffling, and updates derive from one seeded generator, so two runs
@@ -39,7 +42,7 @@ import csv
 import itertools
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +71,7 @@ class TrainConfig:
     weights: ls.LossWeights = field(default_factory=ls.LossWeights)
     lambda1: float = 0.1
     lambda2: float = 0.005
-    cov_eps: float = 1e-6
+    cov_eps: float = mx.DEFAULT_COV_EPS
     grad_clip: float = 5.0
     checkpoint_every: int = 100
 
@@ -85,13 +88,17 @@ class TrainConfig:
             raise InvalidConfigError("batch_size must be >= 2 (mixture statistics need 2 samples)")
         positive = {"lr_generator": self.lr_generator, "lr_discriminator": self.lr_discriminator,
                     "adam_eps": self.adam_eps, "grad_clip": self.grad_clip}
+        nonnegative = {"cov_eps": self.cov_eps, "lambda1": self.lambda1, "lambda2": self.lambda2,
+                       **asdict(self.weights)}
+        betas = {"adam_beta1": self.adam_beta1, "adam_beta2": self.adam_beta2}
+        for name, value in {**positive, **nonnegative, **betas}.items():
+            if not isinstance(value, numbers.Real):
+                raise InvalidConfigError(f"{name} must be a number, got {value!r}")
         for name, value in positive.items():
             if not 0 < value < math.inf:
                 raise InvalidConfigError(f"{name} must be finite and > 0, got {value}")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise InvalidConfigError("adam betas must lie in [0, 1)")
-        nonnegative = {"cov_eps": self.cov_eps, "lambda1": self.lambda1, "lambda2": self.lambda2,
-                       **asdict(self.weights)}
         for name, value in nonnegative.items():
             if not 0 <= value < math.inf:
                 raise InvalidConfigError(f"{name} must be finite and >= 0, got {value}")
@@ -100,103 +107,65 @@ class TrainConfig:
 
 
 # Elements per block of the Adam update and per leaf of the gradient
-# norm: the block of each of the five arrays an update touches
-# (parameter, gradient, two moments, scratch) stays in L2 cache between
-# its dozen elementwise passes, and a float32 leaf's dot product
-# accumulates over few enough elements to stay within ~1e-7 relative.
+# norm: the block of each of the five arrays an update touches (values,
+# gradient copy, two moments, scratch) stays in L2 cache between its
+# dozen elementwise passes, and a float32 leaf's dot product accumulates
+# over few enough elements to stay within ~1e-7 relative.
 ADAM_BLOCK = 32768
 
 
-class _AdamBlock(NamedTuple):
-    """One block of an ``AdamState`` plan.
-
-    ``members`` is ``((i, part),)`` for a part of parameter i updated in
-    place, with ``p_pack`` and ``g_pack`` None; or ``((i, value slot,
-    gradient slot), ...)`` for a packed block, whose slots are views of
-    ``p_pack`` and ``g_pack`` shaped like parameter i.
-    """
-
-    members: tuple
-    m: np.ndarray
-    v: np.ndarray
-    tmp: np.ndarray
-    p_pack: np.ndarray | None
-    g_pack: np.ndarray | None
-
-
 class AdamState:
-    """First/second moment buffers, the shared step counter and the
-    block plan for one parameter group.
+    """The values, first and second moments, shared step counter and
+    block plan of one parameter group.
 
-    The moments of all parameters of one dtype live in one flat buffer
-    of that dtype, in parameter order; ``m[i]`` and ``v[i]`` are views
-    of it shaped like parameter i.  The plan (see ``_cut_blocks``) cuts
-    each dtype's parameters into blocks of at most ``ADAM_BLOCK``
-    elements.  A block of one parameter is updated in place.  A packed
-    block of several small parameters has its values and gradients
-    gathered into this state's scratch buffers, is updated there, and
-    has its values scattered back, so a group of many small arrays costs
-    a few numpy calls per block, not a dozen per array.  The parameter
-    arrays themselves are never rebound or copied into other storage.
+    Construction copies the values of all parameters of one dtype, in
+    parameter order, into one flat buffer of that dtype, and rebinds each
+    ``p.data`` to a view of it shaped like the parameter; every value,
+    shape and dtype stays bitwise what it was.  From then on the state
+    owns the storage of its group's values, so a parameter belongs to one
+    state; ``params`` is the group, in order.  The moments live in two
+    more flat buffers per dtype, with ``m[i]`` and ``v[i]`` views of them
+    shaped like parameter i.  Each entry of ``plan`` is the next slice of
+    at most ``ADAM_BLOCK`` elements of one dtype's three buffers, as
+    ``(parts, values, m, v, g, tmp)``: ``g`` and ``tmp`` are scratch of
+    the block's size, and each ``(i, source, target)`` in ``parts`` says
+    that elements ``source`` of gradient i, flattened, belong in
+    elements ``target`` of ``g``.
     """
 
     def __init__(self, params, lr: float, beta1: float, beta2: float, eps: float):
+        self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m: list[np.ndarray] = [None] * len(params)
-        self.v: list[np.ndarray] = [None] * len(params)
-        self.plan: list[_AdamBlock] = []
+        self.m: list[np.ndarray] = [None] * len(self.params)
+        self.v: list[np.ndarray] = [None] * len(self.params)
+        self.plan: list[tuple] = []
         by_dtype: dict[np.dtype, list[int]] = {}
-        for i, p in enumerate(params):
+        for i, p in enumerate(self.params):
             by_dtype.setdefault(p.data.dtype, []).append(i)
         for dtype, indices in by_dtype.items():
-            arrays = [params[i].data for i in indices]
-            starts = [0, *itertools.accumulate(a.size for a in arrays)]
-            m_flat = np.zeros(starts[-1], dtype)
-            v_flat = np.zeros_like(m_flat)
-            for i, a, start in zip(indices, arrays, starts):
-                self.m[i] = m_flat[start:start + a.size].reshape(a.shape)
-                self.v[i] = v_flat[start:start + a.size].reshape(a.shape)
-            tmp, p_buf, g_buf = (np.empty(min(ADAM_BLOCK, m_flat.size), dtype) for _ in range(3))
-            for block in _cut_blocks([a.size for a in arrays]):
-                (first, lo, _), (last, _, hi) = block[0], block[-1]
-                span = slice(starts[first] + lo, starts[last] + hi)
-                size = span.stop - span.start
-                if len(block) == 1:
-                    members, p_pack, g_pack = ((indices[first], slice(lo, hi)),), None, None
-                else:
-                    members = []
-                    for j, _, _ in block:
-                        s, e, shape = starts[j] - span.start, starts[j + 1] - span.start, arrays[j].shape
-                        members.append((indices[j], p_buf[s:e].reshape(shape), g_buf[s:e].reshape(shape)))
-                    members = tuple(members)
-                    p_pack, g_pack = p_buf[:size], g_buf[:size]
-                self.plan.append(_AdamBlock(members, m_flat[span], v_flat[span], tmp[:size], p_pack, g_pack))
-
-
-def _cut_blocks(sizes) -> list[list[tuple[int, int, int]]]:
-    """Blocks of at most ``ADAM_BLOCK`` elements over arrays of the given
-    sizes, laid end to end: each block is a list of (array, first, stop)
-    parts.  An array of at least ``ADAM_BLOCK`` elements is cut into
-    blocks of its own; runs of smaller arrays share blocks, whole."""
-    blocks: list[list[tuple[int, int, int]]] = []
-    pack: list[tuple[int, int, int]] = []
-    packed = 0
-    for j, n in enumerate(sizes):
-        if pack and (n >= ADAM_BLOCK or packed + n > ADAM_BLOCK):
-            blocks.append(pack)
-            pack, packed = [], 0
-        if n >= ADAM_BLOCK:
-            blocks.extend([(j, first, min(first + ADAM_BLOCK, n))] for first in range(0, n, ADAM_BLOCK))
-        else:
-            pack.append((j, 0, n))
-            packed += n
-    if pack:
-        blocks.append(pack)
-    return blocks
+            starts = [0, *itertools.accumulate(self.params[i].data.size for i in indices)]
+            spans = list(zip(indices, starts, starts[1:]))
+            size = starts[-1]
+            values, m_flat, v_flat = (np.zeros(size, dtype) for _ in range(3))
+            for i, start, stop in spans:
+                p = self.params[i]
+                view = values[start:stop].reshape(p.data.shape)
+                np.copyto(view, p.data)
+                p.data = view
+                self.m[i] = m_flat[start:stop].reshape(view.shape)
+                self.v[i] = v_flat[start:stop].reshape(view.shape)
+            g, tmp = (np.empty(min(ADAM_BLOCK, size), dtype) for _ in range(2))
+            for lo in range(0, size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, size)
+                parts = tuple((i, slice(max(lo, start) - start, min(hi, stop) - start),
+                               slice(max(lo, start) - lo, min(hi, stop) - lo))
+                              for i, start, stop in spans if start < hi and lo < stop)
+                self.plan.append((parts, values[lo:hi], m_flat[lo:hi], v_flat[lo:hi],
+                                  g[:hi - lo], tmp[:hi - lo]))
 
 
 def _sum_of_squares(grads, dtype=None) -> float:
@@ -239,15 +208,16 @@ def clip_global_norm(grads, max_norm: float) -> float | None:
     return None
 
 
-def adam_update(params, grads, state: AdamState, scale: float | None = None) -> None:
-    """Bias-corrected Adam step, in place, of the gradients times
-    ``scale`` (the factor from ``clip_global_norm``; None leaves them
-    unscaled).
+def adam_update(state: AdamState, grads, scale: float | None = None) -> None:
+    """Bias-corrected Adam step, in place, of the values of
+    ``state.params`` on the gradients times ``scale`` (the factor from
+    ``clip_global_norm``; None leaves them unscaled).
 
-    ``params`` must be the group ``state`` was built for, in the same
-    order.  Each block of the state's plan (see ``AdamState``) runs, with
-    s the scale or 1, alpha_t = lr sqrt(1 - b2^t) / (1 - b1^t) and
-    eps_t = eps sqrt(1 - b2^t):
+    ``grads`` are the group's gradients, in ``state.params`` order, each
+    of its parameter's shape and dtype; they are only read.  Each block
+    of the state's plan (see ``AdamState``) copies its gradient parts
+    into its buffer g and runs, with s the scale or 1,
+    alpha_t = lr sqrt(1 - b2^t) / (1 - b1^t) and eps_t = eps sqrt(1 - b2^t):
 
         tmp = g (1 - b1) s;  m = b1 m + tmp
         tmp = tmp tmp (1 - b2) / (1 - b1)^2;  v = b2 v + tmp
@@ -257,12 +227,9 @@ def adam_update(params, grads, state: AdamState, scale: float | None = None) -> 
     neither bias correction dividing a block.  The v term squares the m
     term, not g, because s^2 as a float32 coefficient would underflow
     for a small clip factor.  Every coefficient is a Python float, so
-    each parameter is updated in its own dtype, and its gradient must
-    have that dtype too.  Gradient blocks walked in place are reused as
-    buffers, so the gradient arrays hold scratch values afterwards.
-    Only parameter values are written; every ``p.data`` stays the same
-    array object.  A non-finite parameter after a block raises
-    ``NumericError``.
+    each parameter is updated in its own dtype.  Only the state's
+    buffers are written; every ``p.data`` stays the same array object.
+    A non-finite parameter after a block raises ``NumericError``.
     """
     state.step_count += 1
     t = state.step_count
@@ -272,16 +239,9 @@ def adam_update(params, grads, state: AdamState, scale: float | None = None) -> 
     eps_hat = float(state.eps) * root_correction2
     k1 = (1.0 - b1) * (1.0 if scale is None else float(scale))
     k2 = (1.0 - b2) / (1.0 - b1) ** 2
-    for members, mb, vb, tmp, p_pack, g_pack in state.plan:
-        if p_pack is None:
-            ((i, part),) = members
-            pb = params[i].data.reshape(-1, copy=False)[part]
-            gb = grads[i].reshape(-1)[part]
-        else:
-            pb, gb = p_pack, g_pack
-            for i, p_slot, g_slot in members:
-                np.copyto(p_slot, params[i].data)
-                np.copyto(g_slot, grads[i])
+    for parts, pb, mb, vb, gb, tmp in state.plan:
+        for i, source, target in parts:
+            gb[target] = grads[i].reshape(-1)[source]
         # m = b1 m + (1 - b1) s g
         np.multiply(gb, k1, out=tmp)
         mb *= b1
@@ -299,9 +259,6 @@ def adam_update(params, grads, state: AdamState, scale: float | None = None) -> 
         pb -= gb
         if not np.all(np.isfinite(pb)):
             raise NumericError("non-finite parameter after optimizer step")
-        if p_pack is not None:
-            for i, p_slot, _ in members:
-                np.copyto(params[i].data, p_slot)
 
 
 @dataclass
@@ -381,14 +338,12 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     disc_loss = ls.discriminator_loss(nets.discriminate(model, x), nets.discriminate(model, x_rec))
     disc_loss_value = disc_loss.item()
     if config.weights.w_adversarial > 0.0:
-        d_params = model.discriminator_parameters()
-        grads = ad.backward(disc_loss, d_params)
-        adam_update(d_params, grads, state.adam_discriminator, clip_global_norm(grads, config.grad_clip))
+        grads = ad.backward(disc_loss, state.adam_discriminator.params)
+        adam_update(state.adam_discriminator, grads, clip_global_norm(grads, config.grad_clip))
 
     loss = generator_loss(model, x, z, x_rec, config)
-    g_params = model.generator_parameters()
-    grads = ad.backward(loss.total, g_params)
-    adam_update(g_params, grads, state.adam_generator, clip_global_norm(grads, config.grad_clip))
+    grads = ad.backward(loss.total, state.adam_generator.params)
+    adam_update(state.adam_generator, grads, clip_global_norm(grads, config.grad_clip))
 
     state.step += 1
     return ls.LossBreakdown(
@@ -471,15 +426,7 @@ def fit(
                 breakdown = train_step(state, design[idx], config)
                 history.append(breakdown)
                 if writer:
-                    writer.writerow([
-                        state.step, epoch,
-                        repr(breakdown.image_reconstruction),
-                        repr(breakdown.adversarial_generator),
-                        repr(breakdown.adversarial_discriminator),
-                        repr(breakdown.latent_reconstruction),
-                        repr(breakdown.estimation),
-                        repr(breakdown.total),
-                    ])
+                    writer.writerow([state.step, epoch, *map(repr, astuple(breakdown))])
                 if state.step % config.checkpoint_every == 0:
                     write_checkpoint()
         final_gmm = full_dataset_mixture(state.model, design, config.cov_eps)

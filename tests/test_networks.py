@@ -185,6 +185,12 @@ class TestArchValidation:
         dict(output_scale=0.0),
         dict(output_scale=float("nan")),
         dict(output_scale=float("inf")),
+        dict(latent_dim=2.5),
+        dict(encoder_widths=(8.0,)),
+        dict(n_components=3.0),
+        dict(input_dim="256"),
+        dict(leaky_slope="0.2"),
+        dict(output_scale=None),
     ])
     def test_invalid_arch_rejected(self, bad):
         with pytest.raises(InvalidConfigError):

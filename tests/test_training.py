@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anomix import autodiff as ad
 from anomix import evaluation as ev
@@ -35,7 +37,7 @@ def oracle_clip(grads, max_norm):
     return max_norm / norm if norm > max_norm else None
 
 
-def oracle_adam(params, grads, state, scale=None):
+def oracle_adam(state, grads, scale=None):
     """Whole-array Adam in the efficient form of Kingma & Ba (end of
     section 2) on the gradients times ``scale``.  Every coefficient is a
     Python float: a float64 one would compute a float32 array in float64
@@ -45,7 +47,7 @@ def oracle_adam(params, grads, state, scale=None):
     alpha = state.lr * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
     eps_hat = state.eps * math.sqrt(1.0 - b2 ** t)
     k1 = (1.0 - b1) * (1.0 if scale is None else scale)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v in zip(state.params, grads, state.m, state.v):
         mg = g * k1
         m *= b1
         m += mg
@@ -83,7 +85,7 @@ class TestAdam:
     def test_zero_gradient_zero_update(self):
         p = Tensor(np.array([1.0, -2.0]))
         state = tr.AdamState([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-        tr.adam_update([p], [np.zeros(2)], state)
+        tr.adam_update(state, [np.zeros(2)])
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
         assert not state.m[0].any() and not state.v[0].any()
 
@@ -92,7 +94,7 @@ class TestAdam:
         # m_hat = 1, v_hat = 1, so the step is -lr/(1 + eps).
         p = Tensor(np.array([0.0]))
         state = tr.AdamState([p], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
-        tr.adam_update([p], [np.ones(1)], state)
+        tr.adam_update(state, [np.ones(1)])
         assert p.data[0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-12)
 
     def test_constant_gradient_update_approaches_lr(self):
@@ -101,7 +103,7 @@ class TestAdam:
         prev = p.data[0]
         for _ in range(2000):
             prev = p.data[0]
-            tr.adam_update([p], [np.full(1, 0.37)], state)
+            tr.adam_update(state, [np.full(1, 0.37)])
         assert abs(p.data[0] - prev) == pytest.approx(1e-3, rel=1e-3)
 
     def test_float32_zero_gradient_leaves_parameters_unchanged(self):
@@ -110,7 +112,7 @@ class TestAdam:
         state = tr.AdamState([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
         for _ in range(3):
             g = np.zeros(3, np.float32)
-            tr.adam_update([p], [g], state, tr.clip_global_norm([g], 1.0))
+            tr.adam_update(state, [g], tr.clip_global_norm([g], 1.0))
         assert p.data.tobytes() == before
         assert not state.m[0].any() and not state.v[0].any()
 
@@ -129,7 +131,7 @@ class TestAdam:
         layout = [((int(n),), np.float32) for n in rng.integers(1, tr.ADAM_BLOCK // 6, 30)]
         layout += [((3, 17), np.float32), ((tr.ADAM_BLOCK - 1,), np.float32), ((1,), np.float32)]
         state = self._check_bitwise_efficient_form(layout)
-        assert sum(len(members) > 1 for members, *_ in state.plan) >= 3
+        assert sum(len(parts) > 1 for parts, *_ in state.plan) >= 3
 
     def test_large_parameter_between_small_ones(self):
         self._check_bitwise_efficient_form([((5, 7), np.float32), ((11,), np.float32),
@@ -160,8 +162,8 @@ class TestAdam:
                 if scale is not None:
                     assert type(scale) is float
                     assert scale == pytest.approx(max_norm / exact_norm(grads), rel=1e-6)
-                oracle_adam(ref_params, [g.copy() for g in grads], ref_state, scale)
-                tr.adam_update(params, grads, state, scale)
+                oracle_adam(ref_state, grads, scale)
+                tr.adam_update(state, grads, scale)
                 for got, want in zip(params, ref_params):
                     assert got.data.tobytes() == want.data.tobytes()
                 for got, want in zip(state.m + state.v, ref_state.m + ref_state.v):
@@ -188,7 +190,7 @@ class TestAdam:
             norm = exact_norm(grads)
             assert (norm > max_norm) == (max_norm < 1.0)
             clipped = [g * min(1.0, max_norm / norm) for g in grads]
-            tr.adam_update(params, grads, state, tr.clip_global_norm(grads, max_norm))
+            tr.adam_update(state, grads, tr.clip_global_norm(grads, max_norm))
             for p, g, m, v in zip(ref_p, clipped, ref_m, ref_v):
                 textbook_adam_step(p, g, m, v, t, lr, b1, b2, eps)
             for got, want in zip([p.data for p in params] + state.m + state.v, ref_p + ref_m + ref_v):
@@ -226,21 +228,87 @@ class TestAdam:
             scale = tr.clip_global_norm(grads, 5.0)
             assert scale == pytest.approx(5e-18, rel=1e-5)
             clipped = [g.astype(np.float64) * (5.0 / exact_norm(grads)) for g in grads]
-            tr.adam_update(params, grads, state, scale)
+            tr.adam_update(state, grads, scale)
             for p, g, m, v in zip(ref_p, clipped, ref_m, ref_v):
                 textbook_adam_step(p, g, m, v, t, lr, b1, b2, eps)
         for got, want in zip(params, ref_p):
             np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=0)
 
+    def test_update_only_reads_the_gradients(self):
+        # A parameter over several blocks, small ones sharing a block, two
+        # dtypes; the clip firing and not.
+        rng = np.random.default_rng(18)
+        layout = [((tr.ADAM_BLOCK + 5,), np.float32), ((3, 4), np.float32), ((6,), np.float64),
+                  ((2 * tr.ADAM_BLOCK // 7, 7), np.float64)]
+        params = [Tensor(rng.standard_normal(s).astype(dtype)) for s, dtype in layout]
+        state = tr.AdamState(params, lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8)
+        for max_norm in (1e-3, 1e12):
+            grads = [rng.standard_normal(s).astype(dtype) for s, dtype in layout]
+            before = [g.tobytes() for g in grads]
+            tr.adam_update(state, grads, tr.clip_global_norm(grads, max_norm))
+            assert [g.tobytes() for g in grads] == before
+
+    def test_construction_keeps_every_value_shape_and_dtype(self):
+        # A 0-d, a Fortran-ordered and a multi-block parameter, -0.0 and a
+        # subnormal among the values.
+        rng = np.random.default_rng(19)
+        arrays = [rng.standard_normal(()), np.asfortranarray(rng.standard_normal((3, 5)).astype(np.float32)),
+                  rng.standard_normal((tr.ADAM_BLOCK + 3,)).astype(np.float32), rng.standard_normal((5, 2))]
+        arrays[1][0, :2] = [-0.0, np.finfo(np.float32).smallest_subnormal]
+        params = [Tensor(a) for a in arrays]
+        before = [(p.data.tobytes(), p.data.shape, p.data.dtype) for p in params]
+        state = tr.AdamState(params, lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8)
+        assert [(p.data.tobytes(), p.data.shape, p.data.dtype) for p in params] == before
+        assert state.params == params
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(sizes=st.lists(st.one_of(st.integers(1, 40),
+                                    st.integers(tr.ADAM_BLOCK - 40, tr.ADAM_BLOCK + 40),
+                                    st.integers(2 * tr.ADAM_BLOCK - 20, 2 * tr.ADAM_BLOCK + 20)),
+                          min_size=1, max_size=6),
+           dtypes=st.lists(st.sampled_from(["float32", "float64"]), min_size=6, max_size=6))
+    # A small parameter straddling a block edge, in one dtype and in each of two.
+    @example(sizes=[tr.ADAM_BLOCK - 3, 7, tr.ADAM_BLOCK + 1, 2], dtypes=["float32"] * 6)
+    @example(sizes=[tr.ADAM_BLOCK - 1, tr.ADAM_BLOCK - 5, 3, 9, 1], dtypes=["float32", "float64"] * 3)
+    def test_plan_tiles_the_buffers_and_covers_every_gradient_element_once(self, sizes, dtypes):
+        # Each element's value is its index in the group, so a part whose
+        # values match its parameter's slice is that slice.
+        firsts = np.cumsum([0, *sizes])
+        params = [Tensor((first + np.arange(n)).astype(dtype)) for first, n, dtype in zip(firsts, sizes, dtypes)]
+        state = tr.AdamState(params, lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8)
+        covered = [np.zeros(n, int) for n in sizes]
+        tiled = {}      # dtype -> elements of its buffers the blocks so far tile
+        for parts, *buffers in state.plan:
+            values = buffers[0]
+            assert 1 <= values.size <= tr.ADAM_BLOCK
+            assert {(b.size, b.dtype) for b in buffers} == {(values.size, values.dtype)}
+            lo = tiled.get(values.dtype, 0)
+            for flat in buffers[:3]:
+                assert (flat.ctypes.data - flat.base.ctypes.data) // flat.itemsize == lo
+            tiled[values.dtype] = lo + values.size
+            in_block = np.zeros(values.size, int)
+            for i, source, target in parts:
+                value_part = params[i].data.reshape(-1)[source]
+                assert np.shares_memory(values[target], value_part)
+                assert values[target].tobytes() == value_part.tobytes()
+                covered[i][source] += 1
+                in_block[target] += 1
+            assert (in_block == 1).all()
+        totals = {}
+        for n, dtype in zip(sizes, dtypes):
+            totals[np.dtype(dtype)] = totals.get(np.dtype(dtype), 0) + n
+        assert tiled == totals
+        assert all((c == 1).all() for c in covered)
+
     def test_update_keeps_every_parameter_array(self):
         rng = np.random.default_rng(13)
         shapes = [(tr.ADAM_BLOCK + 5,), (3, 4), (6,), (tr.ADAM_BLOCK // 2 + 1,)]
         params = [Tensor(rng.standard_normal(s).astype(np.float32)) for s in shapes]
-        arrays = [p.data for p in params]
         state = tr.AdamState(params, lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8)
+        arrays = [p.data for p in params]
         for _ in range(3):
             grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
-            tr.adam_update(params, grads, state, tr.clip_global_norm(grads, 1.0))
+            tr.adam_update(state, grads, tr.clip_global_norm(grads, 1.0))
         assert all(p.data is a for p, a in zip(params, arrays))
 
     def test_clip_and_update_allocate_no_full_size_temporary(self):
@@ -252,7 +320,7 @@ class TestAdam:
         grads = [rng.standard_normal(s) for s in shapes]
         tracemalloc.start()
         try:
-            tr.adam_update(params, grads, state, tr.clip_global_norm(grads, 1e-3))
+            tr.adam_update(state, grads, tr.clip_global_norm(grads, 1e-3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -265,7 +333,7 @@ class TestAdam:
         g = np.ones(n)
         g[-1] = np.inf      # m / sqrt(v) = inf / inf: only the last element turns NaN
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            tr.adam_update([p], [g], state)
+            tr.adam_update(state, [g])
 
     def test_infinite_gradient_with_the_clip_firing_raises(self):
         # The norm is inf, so the factor is 0, and inf * 0 is NaN.
@@ -277,7 +345,7 @@ class TestAdam:
         scale = tr.clip_global_norm(grads, 1.0)
         assert scale == 0.0
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            tr.adam_update(params, grads, state, scale)
+            tr.adam_update(state, grads, scale)
 
     def test_float32_squared_norm_overflow_still_clips(self):
         # Each 1e20 squares past float32's ~3.4e38, but the norm, 2e20,
@@ -288,7 +356,7 @@ class TestAdam:
         g = np.full(4, 1e20, np.float32)
         scale = tr.clip_global_norm([g], 5.0)
         assert scale == pytest.approx(5.0 / 2e20, rel=1e-6)
-        tr.adam_update([p], [g], state, scale)
+        tr.adam_update(state, [g], scale)
         np.testing.assert_allclose(p.data, -1e-3, rtol=1e-4)
 
     def test_global_norm_clipping(self):
@@ -515,6 +583,7 @@ class TestFit:
         with metrics.open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == tr.METRICS_HEADER
+        assert all(len(row) == len(tr.METRICS_HEADER) for row in rows)
         assert len(rows) - 1 == len(result.history) == 2 * (64 // 16)
         for row, bd in zip(rows[1:], result.history):
             assert float(row[7]) == bd.total
@@ -570,10 +639,13 @@ class TestFit:
 
     def test_rejects_invalid_arch_before_any_state(self, tmp_path):
         metrics = tmp_path / "metrics.csv"
-        arch = nets.ArchConfig(input_dim=256, latent_dim=0)
-        with pytest.raises(InvalidConfigError, match="latent_dim"):
-            tr.fit(TINY_CONFIG, arch, tiny_data(), metrics_path=metrics)
-        assert not metrics.exists()
+        for bad in (dict(latent_dim=0), dict(latent_dim=2.5), dict(encoder_widths=(8.0,)),
+                    dict(n_components=3.0), dict(input_dim="256"), dict(leaky_slope="0.2"),
+                    dict(output_scale=None)):
+            arch = nets.ArchConfig(**{**dict(input_dim=256), **bad})
+            with pytest.raises(InvalidConfigError, match=next(iter(bad))):
+                tr.fit(TINY_CONFIG, arch, tiny_data(), metrics_path=metrics)
+            assert not metrics.exists()
 
     def test_rejects_mismatched_arch(self):
         with pytest.raises(InvalidConfigError):
@@ -637,6 +709,8 @@ class TestConfigValidation:
         dict(seed=1.5),
         dict(checkpoint_every=2.5),
         dict(epochs=2.0),
+        dict(lr_generator="1e-3"),
+        dict(weights=LossWeights(w_image="1")),
     ])
     def test_invalid_configs_rejected(self, bad):
         cfg = tr.TrainConfig(**bad)
