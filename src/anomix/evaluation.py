@@ -26,7 +26,7 @@ from . import mixture as mx
 from . import networks as nets
 from .autodiff import Tensor
 from .errors import InvalidInputError, VerificationError
-from .features import LABEL_ANOMALOUS, LABEL_NORMAL, LABEL_NAMES, PatchSet
+from .features import LABEL_ANOMALOUS, LABEL_NORMAL, LABEL_NAMES, NormStats, PatchSet
 
 SCORE_MODES = ("latent", "energy")
 
@@ -46,17 +46,13 @@ class RocResult:
     points: list    # (fpr, tpr) from (0, 0) to (1, 1)
 
 
-def _design(model: nets.Model, patchset: PatchSet, norm_stats) -> np.ndarray:
-    stats = norm_stats or patchset.norm_stats
-    if stats is None:
-        raise InvalidInputError("no normalization statistics available for scoring")
+def _design(model: nets.Model, patchset: PatchSet, norm_stats: NormStats) -> np.ndarray:
+    bands, frames = patchset.shape
+    if bands != len(norm_stats.mean) or bands * frames != model.arch.input_dim:
+        raise InvalidInputError(f"model expects {model.arch.input_dim} features per patch in "
+                                f"{len(norm_stats.mean)} bands, got {bands}x{frames} patches")
     # In the networks' dtype, so that scoring converts nothing.
-    flat = stats.apply(patchset.patches, model.encoder.dtype).reshape(len(patchset), -1)
-    if flat.shape[1] != model.arch.input_dim:
-        raise InvalidInputError(
-            f"model expects {model.arch.input_dim} features per patch, got {flat.shape[1]}"
-        )
-    return flat
+    return norm_stats.apply(patchset.patches, model.encoder.dtype).reshape(len(patchset), -1)
 
 
 def score_design(model: nets.Model, design: np.ndarray, mode: str = "latent",
@@ -77,12 +73,16 @@ def score_design(model: nets.Model, design: np.ndarray, mode: str = "latent",
 def score_patchset(
     model: nets.Model,
     patchset: PatchSet,
-    norm_stats=None,
+    norm_stats: NormStats,
     mode: str = "latent",
     gmm: mx.GmmParams | None = None,
     group_by_clip: bool = True,
 ) -> list[ScoredSample]:
     """Score every patch; optionally group patches sharing a source id.
+
+    ``norm_stats`` are the training set's statistics, from ``FitResult``
+    or the checkpoint; a patch set of another band count or patch size
+    than they and the model were fitted on raises InvalidInputError.
 
     A grouped clip scores as the max of its patch scores, so an anomaly
     anywhere in the clip flags the whole clip.  It is anomalous if any

@@ -1,4 +1,4 @@
-"""Audio feature extraction and the patch container.
+"""Audio feature extraction and the patch set.
 
 The input representation is a log-mel spectrogram patch: WAV decode ->
 windowed magnitude spectrum -> triangular mel filterbank -> natural log
@@ -6,33 +6,19 @@ with a positive floor -> fixed-width sliding patches.  A counter-keyed
 synthetic generator produces audio-like patch sets for desk-scale
 experiments.
 
-Patch container ("GMGP" file), all integers little-endian:
-
-    offset  size            field
-    0       4               magic b"GMGP"
-    4       4               u32 version (currently 1)
-    8       4               u32 patch count n
-    12      4               u32 mel bands B
-    16      4               u32 patch frames F
-    20      n*B*F*4         f32 patch values, row-major per patch
-    ...     n               u8 label per patch (0 normal, 1 anomalous, 2 unknown)
-    ...     1               u8 has_stats flag
-    [if has_stats]
-    ...     B*8             f64 per-band normalization mean
-    ...     B*8             f64 per-band normalization std
-    ...     per patch       u16 byte length + UTF-8 source id
+Patch sets live in memory only; there is no patch file format.  The
+per-band normalization statistics of a training set are computed by
+``training.fit`` and live with the fitted model: in ``FitResult`` and
+in the checkpoint's "norm.mean"/"norm.std" arrays.
 """
-
 from __future__ import annotations
 
 import functools
-import struct
 import wave
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import replace_on_success
 from .errors import (
     FormatError,
     InsufficientAudioError,
@@ -46,9 +32,6 @@ LABEL_NORMAL = 0
 LABEL_ANOMALOUS = 1
 LABEL_UNKNOWN = 2
 LABEL_NAMES = {LABEL_NORMAL: "normal", LABEL_ANOMALOUS: "anomalous", LABEL_UNKNOWN: "unknown"}
-
-PATCH_MAGIC = b"GMGP"
-PATCH_VERSION = 1
 
 DEFAULT_LOG_FLOOR = 1e-10
 
@@ -118,12 +101,12 @@ class NormStats:
 
 @dataclass
 class PatchSet:
-    """Uniformly shaped spectrogram patches with ids and labels."""
+    """Uniformly shaped, finite spectrogram patches with ids and known
+    labels."""
 
     patches: np.ndarray       # [n, bands, frames] float64
     source_ids: list = field(default_factory=list)
     labels: np.ndarray = None  # [n] uint8
-    norm_stats: NormStats | None = None
 
     def __post_init__(self):
         self.patches = np.asarray(self.patches, dtype=np.float64)
@@ -137,6 +120,10 @@ class PatchSet:
             self.source_ids = [f"patch-{i:05d}" for i in range(n)]
         if len(self.labels) != n or len(self.source_ids) != n:
             raise InvalidInputError("patches, labels and source ids must align")
+        if not np.isin(self.labels, list(LABEL_NAMES)).all():
+            raise InvalidInputError(f"label {np.setdiff1d(self.labels, list(LABEL_NAMES))[0]} is not a known label")
+        if not np.isfinite(self.patches).all():
+            raise NumericError("non-finite patch values")
 
     def __len__(self) -> int:
         return len(self.patches)
@@ -361,83 +348,3 @@ def gen_synthetic_dataset(
         labels[i] = LABEL_ANOMALOUS if anomalous else LABEL_NORMAL
         ids.append(f"{'anom' if anomalous else 'normal'}-{i:05d}")
     return PatchSet(patches=patches, source_ids=ids, labels=labels)
-
-
-# ---------------------------------------------------------------------------
-# GMGP container
-# ---------------------------------------------------------------------------
-
-def write_patchset(path, patchset: PatchSet) -> None:
-    """Serialize a patch set to the GMGP byte layout in the module docstring.
-
-    A file already at ``path`` is replaced only once the new one is
-    complete; if writing fails it is left as it was.
-    """
-    n = len(patchset)
-    bands, frames = patchset.shape
-    with replace_on_success(path) as fh:
-        fh.write(PATCH_MAGIC)
-        fh.write(struct.pack("<IIII", PATCH_VERSION, n, bands, frames))
-        fh.write(np.ascontiguousarray(patchset.patches, dtype="<f4"))
-        fh.write(np.ascontiguousarray(patchset.labels, dtype=np.uint8))
-        stats = patchset.norm_stats
-        fh.write(struct.pack("<B", 1 if stats is not None else 0))
-        if stats is not None:
-            fh.write(np.ascontiguousarray(stats.mean, dtype="<f8"))
-            fh.write(np.ascontiguousarray(stats.std, dtype="<f8"))
-        for sid in patchset.source_ids:
-            blob = sid.encode("utf-8")
-            if len(blob) > 0xFFFF:
-                raise InvalidInputError(f"source id too long: {sid[:40]}...")
-            fh.write(struct.pack("<H", len(blob)))
-            fh.write(blob)
-
-
-def read_patchset(path) -> PatchSet:
-    """Parse a GMGP file.  Raises FormatError on any structural problem,
-    a patch value that is not finite, a label outside LABEL_NAMES, or
-    norm stats that are not finite or whose std is not positive."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 20 or blob[:4] != PATCH_MAGIC:
-        raise FormatError(f"{path}: not a GMGP patch container")
-    version, n, bands, frames = struct.unpack_from("<IIII", blob, 4)
-    if version != PATCH_VERSION:
-        raise FormatError(f"{path}: unsupported GMGP version {version}")
-    off = 20
-    count = n * bands * frames
-    try:
-        patches = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-        off += count * 4
-        patches = patches.reshape(n, bands, frames).astype(np.float64)
-        labels = np.frombuffer(blob, dtype=np.uint8, count=n, offset=off).copy()
-        off += n
-        (has_stats,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        stats = None
-        if has_stats:
-            mean = np.frombuffer(blob, dtype="<f8", count=bands, offset=off).copy()
-            off += bands * 8
-            std = np.frombuffer(blob, dtype="<f8", count=bands, offset=off).copy()
-            off += bands * 8
-            stats = NormStats(mean=mean, std=std)
-        ids = []
-        for _ in range(n):
-            (ln,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            ids.append(blob[off:off + ln].decode("utf-8"))
-            off += ln
-    except (struct.error, ValueError, OverflowError) as err:
-        raise FormatError(f"{path}: truncated or corrupt GMGP container") from err
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes after GMGP payload")
-    if not np.isfinite(patches).all():
-        raise FormatError(f"{path}: non-finite patch values")
-    if labels.size and labels.max() > LABEL_UNKNOWN:
-        raise FormatError(f"{path}: label {labels.max()} is not one of {sorted(LABEL_NAMES)}")
-    if stats is not None:
-        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()):
-            raise FormatError(f"{path}: non-finite norm stats")
-        if not (stats.std > 0.0).all():
-            raise FormatError(f"{path}: norm std has a value that is not positive")
-    return PatchSet(patches=patches, source_ids=ids, labels=labels, norm_stats=stats)

@@ -29,7 +29,8 @@ Checkpoint ("GMGC" file), all integers little-endian:
             8*prod      f64 values, row-major
 
 Array names: "<network>.w<i>"/"<network>.b<i>" for the five networks,
-"norm.mean"/"norm.std" for feature normalization, and optionally
+"norm.mean"/"norm.std" for the training set's per-band normalization
+statistics (required: a model scores only through them), and optionally
 "gmm.alpha"/"gmm.mu"/"gmm.sigma" for the deployment mixture.
 
 Values are float64 on disk whatever the model's dtype: a float32
@@ -77,9 +78,13 @@ class ArchConfig:
     output_scale: float = 4.0   # decoder tanh covers this many std units
 
     def validate(self) -> None:
-        """Every dim and width an integer >= 1 (a width tuple may be
-        empty), leaky_slope a finite number, output_scale a finite
-        positive number."""
+        """Every dim an integer >= 1, every width field a tuple (so the
+        arch hashes and its checkpoint loads; it may be empty) of
+        integers >= 1, leaky_slope a finite number, output_scale a
+        finite positive number."""
+        for name in ("encoder_widths", "discriminator_widths", "estimator_widths"):
+            if not isinstance(getattr(self, name), tuple):
+                raise InvalidConfigError(f"{name} must be a tuple, got {getattr(self, name)!r}")
         sizes = {
             "input_dim": (self.input_dim,), "latent_dim": (self.latent_dim,),
             "n_components": (self.n_components,), "encoder_widths": self.encoder_widths,
@@ -278,19 +283,18 @@ def membership(model: Model, z: Tensor) -> Tensor:
 @dataclass
 class Checkpoint:
     model: Model
-    norm_stats: NormStats | None
+    norm_stats: NormStats
     gmm: GmmParams | None
 
 
-def _named_arrays(model: Model, norm_stats: NormStats | None, gmm: GmmParams | None):
+def _named_arrays(model: Model, norm_stats: NormStats, gmm: GmmParams | None):
     for name in NETWORK_NAMES:
         net = model.network(name)
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
             yield f"{name}.w{i}", w.data
             yield f"{name}.b{i}", b.data
-    if norm_stats is not None:
-        yield "norm.mean", norm_stats.mean
-        yield "norm.std", norm_stats.std
+    yield "norm.mean", norm_stats.mean
+    yield "norm.std", norm_stats.std
     if gmm is not None:
         alpha, means, covs = gmm.as_arrays()
         yield "gmm.alpha", alpha
@@ -298,7 +302,7 @@ def _named_arrays(model: Model, norm_stats: NormStats | None, gmm: GmmParams | N
         yield "gmm.sigma", covs
 
 
-def save_checkpoint(path, model: Model, norm_stats: NormStats | None = None, gmm: GmmParams | None = None) -> None:
+def save_checkpoint(path, model: Model, norm_stats: NormStats, gmm: GmmParams | None = None) -> None:
     """Write a GMGC file.  A file already at ``path`` is replaced only
     once the new one is complete; if writing fails it is left as it was."""
     arrays = list(_named_arrays(model, norm_stats, gmm))
@@ -329,10 +333,11 @@ def _array(path, arrays: dict, name: str) -> np.ndarray:
 def load_checkpoint(path) -> Checkpoint:
     """Parse a GMGC file into a model of the default dtype.  Raises
     FormatError on any structural problem, a config that fails
-    ``ArchConfig.validate``, an array value that is not finite in the
-    dtype it is loaded as (so a float32 network's value above float32's
-    range too), a norm std that is not positive, or a mixture whose
-    shapes do not match the arch's n_components and latent_dim."""
+    ``ArchConfig.validate``, a missing network or norm array, an array
+    value that is not finite in the dtype it is loaded as (so a float32
+    network's value above float32's range too), norm arrays that are not
+    two per-band vectors of one length with a positive std, or a mixture whose shapes do not match the arch's
+    n_components and latent_dim."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -394,11 +399,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     model = _build_model(arch, seed, layer)
 
-    stats = None
-    if "norm.mean" in arrays:
-        stats = NormStats(mean=arrays["norm.mean"], std=_array(path, arrays, "norm.std"))
-        if not np.all(stats.std > 0.0):
-            raise FormatError(f"{path}: norm.std has a value that is not positive")
+    stats = NormStats(mean=_array(path, arrays, "norm.mean"), std=_array(path, arrays, "norm.std"))
+    if stats.mean.ndim != 1 or stats.mean.shape != stats.std.shape or not np.all(stats.std > 0.0):
+        raise FormatError(f"{path}: norm.mean and norm.std must be one length per band, the std positive")
     gmm = None
     if "gmm.alpha" in arrays:
         k, d = arch.n_components, arch.latent_dim

@@ -401,7 +401,7 @@ def fit(
         )
 
     state = make_train_state(arch, config)
-    stats = patches.norm_stats or compute_norm_stats(patches.patches)
+    stats = compute_norm_stats(patches.patches)
     # In the networks' dtype once, so that no step converts its batch.
     design = stats.apply(patches.patches, state.model.encoder.dtype).reshape(len(patches), -1)
     rng = np.random.default_rng(config.seed)

@@ -15,6 +15,7 @@ from anomix.features import (
     LABEL_UNKNOWN,
     NormStats,
     PatchSet,
+    compute_norm_stats,
     gen_synthetic_dataset,
 )
 
@@ -197,6 +198,19 @@ class TestScoring:
         gmm = mx.GmmParams.from_arrays(np.full(2, 0.5), np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
         per_patch = ev.score_patchset(model, data, stats, mode=mode, gmm=gmm, group_by_clip=False)
         assert ev.score_patchset(model, data, stats, mode=mode, gmm=gmm) == group_by_clip_oracle(per_patch)
+
+    @pytest.mark.parametrize("shape", [(8, 2), (2, 8), (4, 8)])
+    def test_patch_shape_other_than_fitted_raises_before_normalizing(self, monkeypatch, shape):
+        arch = nets.ArchConfig(input_dim=16, latent_dim=2, n_components=2, encoder_widths=(8,),
+                               discriminator_widths=(4,), estimator_widths=(4,))
+        model = nets.init_model(arch, 0)
+        stats = compute_norm_stats(gen_synthetic_dataset(0, 8, 0, shape=(4, 4)).patches)
+        data = gen_synthetic_dataset(1, 4, 4, shape=shape)
+        applied = []
+        monkeypatch.setattr(NormStats, "apply", lambda *args, **kwargs: applied.append(args))
+        with pytest.raises(InvalidInputError, match=f"16 features per patch in 4 bands, got {shape[0]}x{shape[1]}"):
+            ev.score_patchset(model, data, stats)
+        assert applied == []
 
     def test_energy_mode_needs_mixture(self):
         model, data, stats = self._model_and_data()

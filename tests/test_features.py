@@ -1,4 +1,4 @@
-"""WAV decoding, spectrogram pipeline, synthetic data, patch container."""
+"""WAV decoding, spectrogram pipeline, normalization, patch sets, synthetic data."""
 
 import struct
 import tracemalloc
@@ -12,6 +12,7 @@ from anomix.errors import (
     InsufficientAudioError,
     InvalidConfigError,
     InvalidInputError,
+    NumericError,
     UnsupportedFormatError,
 )
 
@@ -336,86 +337,19 @@ class TestSyntheticDataset:
 
 
 class TestPatchContainer:
-    def test_round_trip(self, tmp_path):
-        ps = ft.gen_synthetic_dataset(5, 6, 3, shape=(4, 8))
-        ps.norm_stats = ft.compute_norm_stats(ps.patches)
-        path = tmp_path / "patches.gmgp"
-        ft.write_patchset(path, ps)
-        back = ft.read_patchset(path)
-        np.testing.assert_array_equal(back.patches, ps.patches.astype(np.float32).astype(np.float64))
-        np.testing.assert_array_equal(back.labels, ps.labels)
-        assert back.source_ids == ps.source_ids
-        np.testing.assert_array_equal(back.norm_stats.mean, ps.norm_stats.mean)
-        np.testing.assert_array_equal(back.norm_stats.std, ps.norm_stats.std)
+    """``PatchSet``, the in-memory patch container, holds only finite
+    patches and labels that ``LABEL_NAMES`` names."""
 
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.gmgp"
-        p.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(FormatError):
-            ft.read_patchset(p)
-
-    def test_truncated_payload(self, tmp_path):
+    def test_label_outside_known_values_rejected(self):
         ps = ft.gen_synthetic_dataset(5, 4, 0, shape=(4, 4))
-        p = tmp_path / "trunc.gmgp"
-        ft.write_patchset(p, ps)
-        p.write_bytes(p.read_bytes()[:-3])
-        with pytest.raises(FormatError):
-            ft.read_patchset(p)
-
-    def test_trailing_garbage(self, tmp_path):
-        ps = ft.gen_synthetic_dataset(5, 4, 0, shape=(4, 4))
-        p = tmp_path / "extra.gmgp"
-        ft.write_patchset(p, ps)
-        p.write_bytes(p.read_bytes() + b"xx")
-        with pytest.raises(FormatError):
-            ft.read_patchset(p)
-
-    def test_huge_header_counts(self, tmp_path):
-        p = tmp_path / "huge.gmgp"
-        p.write_bytes(ft.PATCH_MAGIC + struct.pack("<IIII", ft.PATCH_VERSION, *[0xFFFFFFFF] * 3))
-        with pytest.raises(FormatError):
-            ft.read_patchset(p)
-
-    def _with_stats(self):
-        ps = ft.gen_synthetic_dataset(5, 4, 0, shape=(4, 4))
-        ps.norm_stats = ft.compute_norm_stats(ps.patches)
-        return ps
-
-    def test_label_outside_known_values_rejected(self, tmp_path):
-        ps = self._with_stats()
-        p = tmp_path / "label.gmgp"
-        ft.write_patchset(p, ps)
-        blob = bytearray(p.read_bytes())
-        blob[20 + ps.patches.size * 4 + 2] = 7      # third patch's label
-        p.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="label 7"):
-            ft.read_patchset(p)
-
-    @pytest.mark.parametrize("std", [0.0, -1.0, np.nan, np.inf])
-    def test_std_not_finite_and_positive_rejected(self, tmp_path, std):
-        ps = self._with_stats()
-        ps.norm_stats.std[1] = std
-        p = tmp_path / "std.gmgp"
-        ft.write_patchset(p, ps)
-        with pytest.raises(FormatError):
-            ft.read_patchset(p)
+        labels = ps.labels.copy()
+        labels[2] = 7
+        with pytest.raises(InvalidInputError, match="label 7"):
+            ft.PatchSet(patches=ps.patches, labels=labels)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_patch_value_rejected(self, tmp_path, value):
-        ps = self._with_stats()
+    def test_non_finite_patch_value_rejected(self, value):
+        ps = ft.gen_synthetic_dataset(5, 4, 0, shape=(4, 4))
         ps.patches[1, 2, 3] = value
-        p = tmp_path / "nan.gmgp"
-        ft.write_patchset(p, ps)
-        with pytest.raises(FormatError, match="non-finite patch"):
-            ft.read_patchset(p)
-
-    def test_failed_write_keeps_previous_file(self, tmp_path):
-        p = tmp_path / "keep.gmgp"
-        ft.write_patchset(p, self._with_stats())
-        before = p.read_bytes()
-        bad = self._with_stats()
-        bad.source_ids[-1] = "x" * 0x10000    # rejected after the patch values are written
-        with pytest.raises(InvalidInputError):
-            ft.write_patchset(p, bad)
-        assert p.read_bytes() == before
-        assert sorted(tmp_path.iterdir()) == [p]
+        with pytest.raises(NumericError, match="non-finite patch"):
+            ft.PatchSet(patches=ps.patches, labels=ps.labels)

@@ -1,9 +1,9 @@
-"""Property tests: damaged GMGP and GMGC bytes parse or raise FormatError.
+"""Property tests: damaged GMGC checkpoint bytes parse or raise FormatError.
 
-Every truncated prefix and every single-byte change of a valid file must
-either load or raise FormatError, never another exception.  Example
-counts are bounded so the suite stays quick; the search is derandomized
-so a run is repeatable.
+Every truncated prefix and every single-byte change of a valid
+checkpoint must either load or raise FormatError, never another
+exception.  Example counts are bounded so the suite stays quick; the
+search is derandomized so a run is repeatable.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anomix import features as ft
 from anomix import networks as nets
 from anomix.errors import FormatError
 from anomix.features import NormStats
@@ -29,15 +28,6 @@ TINY = nets.ArchConfig(
     input_dim=6, latent_dim=2, n_components=2,
     encoder_widths=(3,), discriminator_widths=(3,), estimator_widths=(2,),
 )
-
-
-@pytest.fixture(scope="module")
-def gmgp_bytes(tmp_path_factory):
-    ps = ft.gen_synthetic_dataset(3, 3, 2, shape=(2, 3))
-    ps.norm_stats = ft.compute_norm_stats(ps.patches)
-    path = tmp_path_factory.mktemp("gmgp") / "valid.gmgp"
-    ft.write_patchset(path, ps)
-    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -69,23 +59,9 @@ def mutated(data, blob):
     return bytes(out)
 
 
-def test_valid_files_parse(tmp_path, gmgp_bytes, gmgc_bytes):
-    (tmp_path / "a").write_bytes(gmgp_bytes)
+def test_valid_files_parse(tmp_path, gmgc_bytes):
     (tmp_path / "b").write_bytes(gmgc_bytes)
-    assert len(ft.read_patchset(tmp_path / "a")) == 5
     assert nets.load_checkpoint(tmp_path / "b").model.arch == TINY
-
-
-@PROPERTY_SETTINGS
-@given(data=st.data())
-def test_gmgp_truncated_prefix(tmp_path, gmgp_bytes, data):
-    parses_or_format_error(tmp_path, truncated(data, gmgp_bytes), ft.read_patchset)
-
-
-@PROPERTY_SETTINGS
-@given(data=st.data())
-def test_gmgp_single_byte_mutation(tmp_path, gmgp_bytes, data):
-    parses_or_format_error(tmp_path, mutated(data, gmgp_bytes), ft.read_patchset)
 
 
 @PROPERTY_SETTINGS

@@ -191,6 +191,10 @@ class TestArchValidation:
         dict(input_dim="256"),
         dict(leaky_slope="0.2"),
         dict(output_scale=None),
+        dict(encoder_widths=[6]),
+        dict(discriminator_widths=[8, 4]),
+        dict(estimator_widths=[]),
+        dict(encoder_widths=8),
     ])
     def test_invalid_arch_rejected(self, bad):
         with pytest.raises(InvalidConfigError):
@@ -213,6 +217,9 @@ class TestCheckpoint:
         gmm = GmmParams.from_arrays(np.array([0.2, 0.3, 0.5]), rng.standard_normal((3, 4)), covs)
         return stats, gmm
 
+    def _stats(self):
+        return self._stats_and_gmm()[0]
+
     def test_round_trip(self, tmp_path):
         model = small_model(31)
         stats, gmm = self._stats_and_gmm()
@@ -231,10 +238,14 @@ class TestCheckpoint:
             np.testing.assert_array_equal(got, want)
 
     def test_round_trip_without_gmm(self, tmp_path):
+        # The mixture is optional; the normalization statistics are not.
+        stats = self._stats()
         path = tmp_path / "bare.gmgc"
-        nets.save_checkpoint(path, small_model(1))
+        nets.save_checkpoint(path, small_model(1), stats)
         ckpt = nets.load_checkpoint(path)
-        assert ckpt.gmm is None and ckpt.norm_stats is None
+        assert ckpt.gmm is None
+        np.testing.assert_array_equal(ckpt.norm_stats.mean, stats.mean)
+        np.testing.assert_array_equal(ckpt.norm_stats.std, stats.std)
 
     def test_resave_is_byte_identical(self, tmp_path):
         model = small_model(8)
@@ -252,7 +263,7 @@ class TestCheckpoint:
 
     def test_truncated(self, tmp_path):
         p = tmp_path / "t.gmgc"
-        nets.save_checkpoint(p, small_model(2))
+        nets.save_checkpoint(p, small_model(2), self._stats())
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(FormatError):
             nets.load_checkpoint(p)
@@ -265,7 +276,7 @@ class TestCheckpoint:
     ])
     def test_corrupt_config_value_is_format_error(self, tmp_path, old, new):
         p = tmp_path / "cfg.gmgc"
-        nets.save_checkpoint(p, small_model(31))
+        nets.save_checkpoint(p, small_model(31), self._stats())
         blob = p.read_bytes()
         assert old in blob
         p.write_bytes(blob.replace(old, new))
@@ -277,7 +288,7 @@ class TestCheckpoint:
         model = small_model(4)
         model.decoder.weights[1].data[2, 3] = value
         p = tmp_path / "nan.gmgc"
-        nets.save_checkpoint(p, model)
+        nets.save_checkpoint(p, model, self._stats())
         with pytest.raises(FormatError, match="decoder.w1"):
             nets.load_checkpoint(p)
 
@@ -286,7 +297,7 @@ class TestCheckpoint:
         model = nets.init_model(SMALL, 4, dtype=np.float64)
         model.decoder.weights[1].data[2, 3] = 1e39
         p = tmp_path / "big.gmgc"
-        nets.save_checkpoint(p, model)
+        nets.save_checkpoint(p, model, self._stats())
         with pytest.raises(FormatError, match="decoder.w1"):
             nets.load_checkpoint(p)
 
@@ -299,13 +310,21 @@ class TestCheckpoint:
         assert ckpt.norm_stats.mean.dtype == np.float64
         assert all(a.dtype == np.float64 for a in ckpt.gmm.as_arrays())
 
-    @pytest.mark.parametrize("std", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("std", [0.0, -1.0, np.nan, np.inf])
     def test_norm_std_not_positive_is_format_error(self, tmp_path, std):
         stats, gmm = self._stats_and_gmm()
         stats.std[2] = std
         p = tmp_path / "std.gmgc"
         nets.save_checkpoint(p, small_model(4), stats, gmm)
         with pytest.raises(FormatError):
+            nets.load_checkpoint(p)
+
+    @pytest.mark.parametrize("mean, std", [(np.zeros(6), np.ones(5)), (np.zeros(5), np.ones(6)),
+                                           (np.zeros((2, 3)), np.ones((2, 3)))])
+    def test_norm_arrays_not_one_per_band_vector_are_format_error(self, tmp_path, mean, std):
+        p = tmp_path / "bands.gmgc"
+        nets.save_checkpoint(p, small_model(4), NormStats(mean=mean, std=std))
+        with pytest.raises(FormatError, match="norm.mean and norm.std"):
             nets.load_checkpoint(p)
 
     @pytest.mark.parametrize("name", [b"norm.std", b"gmm.mu", b"gmm.sigma"])
@@ -316,6 +335,25 @@ class TestCheckpoint:
         blob = p.read_bytes()
         p.write_bytes(blob.replace(name, name[:-1] + b"?"))
         with pytest.raises(FormatError, match="missing array"):
+            nets.load_checkpoint(p)
+
+    def test_checkpoint_without_norm_mean_is_format_error(self, tmp_path, monkeypatch):
+        # A file with no normalization arrays at all, as a checkpoint
+        # written without statistics would be.
+        named_arrays = nets._named_arrays
+        monkeypatch.setattr(nets, "_named_arrays", lambda *args: (
+            (name, arr) for name, arr in named_arrays(*args) if not name.startswith("norm.")))
+        p = tmp_path / "nonorm.gmgc"
+        nets.save_checkpoint(p, small_model(4), self._stats())
+        assert b"norm." not in p.read_bytes()
+        with pytest.raises(FormatError, match="missing array 'norm.mean'"):
+            nets.load_checkpoint(p)
+
+    def test_trailing_bytes_are_format_error(self, tmp_path):
+        p = tmp_path / "extra.gmgc"
+        nets.save_checkpoint(p, small_model(2), self._stats())
+        p.write_bytes(p.read_bytes() + b"xx")
+        with pytest.raises(FormatError, match="trailing bytes"):
             nets.load_checkpoint(p)
 
     def test_huge_array_dims(self, tmp_path):
@@ -329,7 +367,7 @@ class TestCheckpoint:
 
     def test_layer_shape_mismatch_is_format_error(self, tmp_path):
         p = tmp_path / "shape.gmgc"
-        nets.save_checkpoint(p, small_model(4))
+        nets.save_checkpoint(p, small_model(4), self._stats())
         p.write_bytes(p.read_bytes().replace(b"latent_dim=4", b"latent_dim=5"))
         with pytest.raises(FormatError, match="shape mismatch"):
             nets.load_checkpoint(p)
@@ -339,7 +377,7 @@ class TestCheckpoint:
         # SMALL has n_components=3 and latent_dim=4.
         gmm = GmmParams.from_arrays(np.full(k, 1.0 / k), np.zeros((k, d)), np.stack([np.eye(d)] * k))
         p = tmp_path / "gmm.gmgc"
-        nets.save_checkpoint(p, small_model(4), gmm=gmm)
+        nets.save_checkpoint(p, small_model(4), self._stats(), gmm)
         with pytest.raises(FormatError, match="gmm"):
             nets.load_checkpoint(p)
 

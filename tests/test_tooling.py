@@ -6,7 +6,9 @@ renamed here would break traced runs while the rest of this suite still
 passes.  The file is loaded read-only: no bytecode is written beside it.
 
 Every public ``autodiff`` op has a use in the package outside
-``verify``, so no op is kept only to be checked.  ``dense``'s
+``verify``, so no op is kept only to be checked.  Every other public
+function and class has a caller in the package or the benchmark, or is
+traced by it, unless ``NO_CALLER_YET`` says why not.  ``dense``'s
 activation selects no branch per element.
 """
 
@@ -22,14 +24,25 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "benchmark" / "spans.py"
 # verify weighs each op's output with ``mul`` to make its scalar probes.
 PROBE_COMBINATORS = {"mul"}
+# Public names with no caller in src/anomix or benchmark/, and why.
+NO_CALLER_YET = {
+    "gen_synthetic_dataset": "the test suite's data generator",
+    "write_scores_csv": "waits for the planned `score` command",
+    "run_all": "waits for the planned `verify --json` command",
+}
 
 
-def test_every_traced_function_resolves(monkeypatch):
+def load_spans(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look the module up
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    spans = load_spans(monkeypatch)
     assert spans.TRACED
     missing = [f"{module.__name__}.{attr}" for module, attr in spans.TRACED
                if not callable(getattr(module, attr, None))]
@@ -52,6 +65,31 @@ def test_every_autodiff_op_has_a_caller_outside_verify():
                 used.update(alias.name for alias in node.names)
     unused = sorted(ops - used - PROBE_COMBINATORS)
     assert not unused, f"autodiff ops with no caller outside verify: {unused}"
+
+
+def test_every_public_name_has_a_caller(monkeypatch):
+    package = sorted((ROOT / "src" / "anomix").glob("*.py"))
+    public = {node.name: path.stem for path in package for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    assert {"fit", "Model", "run_all"} <= public.keys()
+    used = {attr for _, attr in load_spans(monkeypatch).TRACED}
+    for path in package + sorted((ROOT / "benchmark").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            # A definition's references to its own name are not callers.
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                used.update(name for name in names if name != own)
+    unused = sorted(f"{public[name]}.{name}" for name in public.keys() - used - NO_CALLER_YET.keys())
+    assert not unused, f"public names with no caller in src/anomix or benchmark/: {unused}"
+    assert NO_CALLER_YET.keys() <= public.keys() - used, "NO_CALLER_YET lists a name that has a caller"
 
 
 def test_dense_activation_has_no_masked_select():

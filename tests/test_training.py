@@ -15,7 +15,7 @@ from anomix import evaluation as ev
 from anomix import networks as nets
 from anomix import training as tr
 from anomix.errors import DataError, InvalidConfigError, InvalidInputError, NumericError
-from anomix.features import LABEL_ANOMALOUS, NormStats, PatchSet, gen_synthetic_dataset
+from anomix.features import LABEL_ANOMALOUS, NormStats, PatchSet, compute_norm_stats, gen_synthetic_dataset
 from anomix.losses import LossWeights
 from anomix.autodiff import Tensor
 
@@ -607,6 +607,14 @@ class TestFit:
                                         (ckpt.model, ckpt.norm_stats, ckpt.gmm))]
         assert [s.score for s in scores[0]] == [s.score for s in scores[1]]
 
+    def test_fit_stats_are_the_training_patches_own_and_are_checkpointed(self, tmp_path):
+        data, path = tiny_data(), tmp_path / "model.gmgc"
+        result = tr.fit(tr.TrainConfig(epochs=0, batch_size=16), TINY_ARCH, data, checkpoint_path=path)
+        want = compute_norm_stats(data.patches)
+        for stats in (result.norm_stats, nets.load_checkpoint(path).norm_stats):
+            np.testing.assert_array_equal(stats.mean, want.mean)
+            np.testing.assert_array_equal(stats.std, want.std)
+
     def test_fit_and_scoring_normalize_into_the_networks_dtype(self, monkeypatch):
         dtypes = []
         apply = NormStats.apply
@@ -641,7 +649,8 @@ class TestFit:
         metrics = tmp_path / "metrics.csv"
         for bad in (dict(latent_dim=0), dict(latent_dim=2.5), dict(encoder_widths=(8.0,)),
                     dict(n_components=3.0), dict(input_dim="256"), dict(leaky_slope="0.2"),
-                    dict(output_scale=None)):
+                    dict(output_scale=None), dict(encoder_widths=[32, 16]),
+                    dict(estimator_widths=[8])):
             arch = nets.ArchConfig(**{**dict(input_dim=256), **bad})
             with pytest.raises(InvalidConfigError, match=next(iter(bad))):
                 tr.fit(TINY_CONFIG, arch, tiny_data(), metrics_path=metrics)
