@@ -12,6 +12,11 @@ one half) and by trapezoidal integration of the threshold-sweep ROC
 curve; the two must agree to 1e-12 or scoring aborts.  Each route is a
 few numpy calls over one stable sort of the scores, with ties found as
 runs of equal sorted values.
+
+Scoring contract: a row's score is bitwise the same whether the row is
+scored alone, in a chunk of any size or in the whole design, and with 1
+or 2 BLAS threads.  Scores are not promised to be bitwise equal across
+BLAS builds or CPUs, whose kernels may sum in another order.
 """
 
 from __future__ import annotations
@@ -57,16 +62,24 @@ def _design(model: nets.Model, patchset: PatchSet, norm_stats: NormStats) -> np.
 
 def score_design(model: nets.Model, design: np.ndarray, mode: str = "latent",
                  gmm: mx.GmmParams | None = None) -> np.ndarray:
-    """Scores for a normalized [n x input_dim] matrix, one per row."""
+    """Scores for a normalized [n x input_dim] matrix, one per row.
+
+    A one-row design is scored as two copies of its row, because numpy
+    sends a one-row product to BLAS's matrix-vector routine, whose sums
+    run in another order than the matrix-matrix one that every larger
+    design uses.
+    """
     if mode not in SCORE_MODES:
         raise InvalidInputError(f"unknown scoring mode {mode!r}")
-    x = Tensor(design)
-    z = nets.encode(model, x)
+    rows = len(design)
+    if rows == 1:
+        design = np.repeat(design, 2, axis=0)
+    z = nets.encode(model, Tensor(design))
     if mode == "energy":
         if gmm is None:
             raise InvalidInputError("energy scoring needs the checkpointed mixture")
-        return mx.energy_batch(ad.cast(z, np.float64), gmm).data.copy()
-    diff = z.data - nets.encode_aux(model, nets.decode(model, z)).data
+        return mx.energy_batch(ad.cast(z, np.float64), gmm).data[:rows].copy()
+    diff = z.data[:rows] - nets.encode_aux(model, nets.decode(model, z)).data[:rows]
     return np.sqrt((diff * diff).sum(axis=1))
 
 

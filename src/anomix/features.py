@@ -10,6 +10,13 @@ Patch sets live in memory only; there is no patch file format.  The
 per-band normalization statistics of a training set are computed by
 ``training.fit`` and live with the fitted model: in ``FitResult`` and
 in the checkpoint's "norm.mean"/"norm.std" arrays.
+
+Memory: beside its result, ``stft_magnitude`` holds one block of at
+most ``STFT_BLOCK`` windowed samples and that block's transform, and
+``compute_norm_stats`` holds one band's values of the training set and
+the deviations ``std`` takes of them.  Neither holds a copy of its
+whole input, and both give bitwise the values of the whole-array form
+(for the statistics, a C-contiguous [bands x n*frames] copy).
 """
 from __future__ import annotations
 
@@ -55,6 +62,11 @@ class AudioClip:
 # 512 KiB, or 14 patches of 64 x 64 beside a mean and a std tile, so a
 # block stays in cache between its two passes.
 NORM_BLOCK = 65536
+
+# Windowed samples per block of stft_magnitude: 256 KiB of float64, so a
+# block and its transform (512 KiB together) stay in a 1-2 MiB L2 cache
+# between the window, transform and magnitude passes.
+STFT_BLOCK = 32768
 
 
 @dataclass
@@ -141,8 +153,8 @@ def decode_wav(path) -> AudioClip:
     """Decode a RIFF/WAVE PCM 16-bit file; stereo is averaged to mono.
 
     Samples are scaled to [-1, 1] by dividing by 32768.  A file whose
-    data chunk holds fewer bytes than its header declares raises
-    FormatError.
+    header declares a sample rate of 0, or whose data chunk holds fewer
+    bytes than its header declares, raises FormatError.
     """
     try:
         with wave.open(str(path), "rb") as wav:
@@ -160,6 +172,8 @@ def decode_wav(path) -> AudioClip:
         raise UnsupportedFormatError(f"{path}: compressed WAV ({comp}) is not supported")
     if sample_width != 2:
         raise UnsupportedFormatError(f"{path}: only PCM 16-bit is supported, got {8 * sample_width}-bit")
+    if rate <= 0:
+        raise FormatError(f"{path}: header declares sample rate {rate}")
     declared = n_frames * n_channels * sample_width
     if len(raw) != declared:
         raise FormatError(f"{path}: data chunk holds {len(raw)} bytes, header declares {declared}")
@@ -182,6 +196,13 @@ def stft_magnitude(clip: AudioClip, window_len: int, hop: int) -> np.ndarray:
 
     Frame t covers samples [t*hop, t*hop + window_len); no padding, so a
     trailing partial window is dropped.
+
+    The frames are windowed and transformed ``STFT_BLOCK // window_len``
+    at a time (at least one), each block's magnitudes written into one
+    C-contiguous [frames x bins] array, which is returned transposed.
+    Beside that result the function holds one scratch block of windowed
+    frames and the block's complex transform, and the values are bitwise
+    those of transforming every frame at once.
     """
     if window_len < 2 or window_len & (window_len - 1):
         raise InvalidConfigError(f"window length must be a power of two, got {window_len}")
@@ -193,7 +214,16 @@ def stft_magnitude(clip: AudioClip, window_len: int, hop: int) -> np.ndarray:
             f"clip has {len(samples)} samples, needs at least {window_len}"
         )
     frames = np.lib.stride_tricks.sliding_window_view(samples, window_len)[::hop]
-    return np.abs(np.fft.rfft(frames * _hann_periodic(window_len), axis=1)).T
+    window = _hann_periodic(window_len)
+    magnitude = np.empty((len(frames), window_len // 2 + 1))
+    step = max(1, STFT_BLOCK // window_len)
+    scratch = np.empty((min(step, len(frames)), window_len))
+    for start in range(0, len(frames), step):
+        block = frames[start:start + step]
+        windowed = scratch[:len(block)]
+        np.multiply(block, window, out=windowed)
+        np.abs(np.fft.rfft(windowed, axis=1), out=magnitude[start:start + step])
+    return magnitude.T
 
 
 def hz_to_mel(f):
@@ -276,9 +306,22 @@ def log_compress_and_frame(
 # ---------------------------------------------------------------------------
 
 def compute_norm_stats(patches: np.ndarray, std_floor: float = 1e-8) -> NormStats:
-    """Per-band mean/std over every patch and frame of a training set."""
-    flat = patches.transpose(1, 0, 2).reshape(patches.shape[1], -1)
-    return NormStats(mean=flat.mean(axis=1), std=np.maximum(flat.std(axis=1), std_floor))
+    """Per-band mean/std over every patch and frame of a training set.
+
+    One band at a time: its [n x frames] values are copied into one
+    contiguous row, whose ``mean()`` and ``std()`` are taken.  Beside
+    the result the function holds that row and the row of deviations
+    ``std`` makes, never a copy of the whole set, and the values are
+    bitwise those of each band's row in a C-contiguous transposed copy
+    of the set.
+    """
+    n, bands, frames = patches.shape
+    row = np.empty((n, frames))
+    mean, std = np.empty(bands), np.empty(bands)
+    for b in range(bands):
+        np.copyto(row, patches[:, b, :])
+        mean[b], std[b] = row.mean(), row.std()
+    return NormStats(mean=mean, std=np.maximum(std, std_floor))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anomix import evaluation as ev
 from anomix import mixture as mx
@@ -226,6 +228,27 @@ class TestScoring:
         gmm = mx.GmmParams.from_arrays(np.full(2, 0.5), np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
         with pytest.raises(NumericError):
             ev.score_patchset(model, data, stats, mode=mode, gmm=gmm)
+
+    # Each chunk ends at a cut; a cut of 0 is the design's end.  The
+    # narrow arch is the fit-narrow benchmark workload's.
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 40), cuts=st.lists(st.integers(0, 40), max_size=8), seed=st.integers(0, 2**16),
+           dtype=st.sampled_from(["float32", "float64"]), mode=st.sampled_from(["latent", "energy"]))
+    @example(rows=5, cuts=[1, 2, 3, 4], seed=0, dtype="float32", mode="latent")
+    @example(rows=5, cuts=[1, 2, 3, 4], seed=0, dtype="float32", mode="energy")
+    @example(rows=1, cuts=[], seed=1, dtype="float64", mode="energy")
+    def test_chunked_scores_equal_the_whole_design_bitwise(self, rows, cuts, seed, dtype, mode):
+        arch = nets.ArchConfig(input_dim=256, n_components=8, encoder_widths=(64, 32),
+                               discriminator_widths=(32, 16))
+        model = nets.init_model(arch, seed, dtype=np.dtype(dtype))
+        rng = np.random.default_rng(seed)
+        design = rng.standard_normal((rows, arch.input_dim)).astype(dtype)
+        gmm = mx.GmmParams.from_arrays(np.full(8, 1 / 8), rng.standard_normal((8, arch.latent_dim)),
+                                       np.stack([np.eye(arch.latent_dim)] * 8))
+        whole = ev.score_design(model, design, mode, gmm)
+        bounds = sorted({c % rows for c in cuts} | {0, rows})
+        chunks = [ev.score_design(model, design[a:b], mode, gmm) for a, b in zip(bounds, bounds[1:])]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
     def test_scoring_is_read_only(self):
         model, data, stats = self._model_and_data()

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anomix import features as ft
 from anomix.errors import (
@@ -79,6 +81,13 @@ class TestDecodeWav:
         with pytest.raises(UnsupportedFormatError):
             ft.decode_wav(p)
 
+    def test_zero_sample_rate_is_format_error_naming_the_file(self, tmp_path):
+        p = tmp_path / "rate0.wav"
+        write_wav_bytes(p, struct.pack("<4h", 1, 2, 3, 4), rate=0)
+        with pytest.raises(FormatError, match="header declares sample rate 0") as err:
+            ft.decode_wav(p)
+        assert str(err.value).startswith(str(p))
+
 
 def naive_windowed_dft_magnitude(samples):
     """O(n²) DFT of one Hann-windowed frame; the oracle for stft_magnitude."""
@@ -129,6 +138,10 @@ class TestStft:
     @pytest.mark.parametrize("n, window_len, hop", [
         (64, 64, 32), (64, 64, 64), (1000, 64, 64), (1000, 64, 17),
         (4097, 256, 1), (16001, 512, 160), (160000, 1024, 512),
+        # Two whole blocks of frames, one frame more and one frame fewer.
+        *[(1024 + (2 * (ft.STFT_BLOCK // 1024) + d - 1) * 512, 1024, 512) for d in (0, 1, -1)],
+        # A window longer than a block: one frame per block.
+        (2 * ft.STFT_BLOCK + 300, 2 * ft.STFT_BLOCK, 100),
     ])
     def test_strided_frames_equal_index_gather_bitwise(self, n, window_len, hop):
         clip = ft.AudioClip(np.random.default_rng(n + hop).uniform(-1.0, 1.0, n), 16000)
@@ -136,6 +149,21 @@ class TestStft:
         want = gather_stft_magnitude(clip, window_len, hop)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    def test_allocates_its_output_and_one_block_pair(self):
+        clip = ft.AudioClip(np.random.default_rng(13).uniform(-1.0, 1.0, 160000), 16000)
+        ft.stft_magnitude(clip, 1024, 512)  # imports numpy.fft outside the trace
+        tracemalloc.start()
+        try:
+            out = ft.stft_magnitude(clip, 1024, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A block pair is the windowed block and its complex transform, each
+        # about STFT_BLOCK float64 values; slack for the window and small
+        # objects.  Transforming every frame at once holds ~3.6 MiB beside
+        # the output.
+        assert peak <= out.nbytes + 2 * ft.STFT_BLOCK * 8 + 128 * 1024, peak
 
 
 def gather_stft_magnitude(clip, window_len, hop):
@@ -314,6 +342,43 @@ class TestNormalization:
         # Slack for numpy's casting buffer and small objects; a full-size
         # float64 temporary would be 2 MiB.
         assert peak <= out.nbytes + ft.NORM_BLOCK * 8 + 128 * 1024, peak
+
+    # n * frames beyond 8192 crosses numpy's reduction buffer size.  One
+    # frame is left out: there the reference's reshape is a strided view,
+    # not a copy, and numpy sums its rows in another order.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 300), bands=st.integers(1, 6), frames=st.integers(2, 64),
+           seed=st.integers(0, 2**32 - 1), offset=st.sampled_from([0.0, -7.5, 1e3]))
+    @example(n=1, bands=5, frames=9, seed=0, offset=0.0)
+    @example(n=7, bands=1, frames=9, seed=1, offset=-7.5)
+    @example(n=200, bands=3, frames=64, seed=2, offset=1e3)
+    def test_stats_equal_the_transposed_copy_bitwise(self, n, bands, frames, seed, offset):
+        rng = np.random.default_rng(seed)
+        patches = offset + rng.standard_normal((n, bands, frames)) * rng.uniform(1e-3, 10.0, (1, bands, 1))
+        stats = ft.compute_norm_stats(patches)
+        mean, std = transposed_copy_norm_stats(patches)
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.std.tobytes() == std.tobytes()
+
+    def test_stats_allocate_one_band_row_and_its_deviations(self):
+        patches = np.random.default_rng(14).uniform(-3, 5, size=(512, 64, 64))
+        tracemalloc.start()
+        try:
+            ft.compute_norm_stats(patches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The band row and std's deviations from its mean are 256 KiB each;
+        # a transposed copy of the set would be 16 MiB.
+        row = patches.shape[0] * patches.shape[2] * 8
+        assert peak <= 2 * row + 64 * 1024, peak
+
+
+def transposed_copy_norm_stats(patches, std_floor=1e-8):
+    """All bands in one transposed copy of the set; the reference for
+    compute_norm_stats' band-at-a-time rows."""
+    flat = patches.transpose(1, 0, 2).reshape(patches.shape[1], -1)
+    return flat.mean(axis=1), np.maximum(flat.std(axis=1), std_floor)
 
 
 class TestSyntheticDataset:

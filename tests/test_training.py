@@ -3,13 +3,18 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import anomix
 from anomix import autodiff as ad
 from anomix import evaluation as ev
 from anomix import networks as nets
@@ -566,6 +571,23 @@ class TestGraphSize:
         assert nodes_made_by(lambda: ev.score_design(state.model, design, mode, gmm)) == layers + others
 
 
+# A default-arch fit and its scores in both modes, printed as two digests:
+# the checkpoint file's and the scores'.  argv[1] is the checkpoint path.
+FIT_AND_SCORE = """
+import hashlib, sys
+import numpy as np
+from anomix import evaluation as ev, networks as nets, training as tr
+from anomix.features import gen_synthetic_dataset
+result = tr.fit(tr.TrainConfig(epochs=1, batch_size=32, seed=3), nets.ArchConfig(),
+                gen_synthetic_dataset(3, 64, 0), checkpoint_path=sys.argv[1])
+test = gen_synthetic_dataset(4, 16, 16)
+scores = [s.score for mode in ev.SCORE_MODES for s in ev.score_patchset(
+    result.model, test, result.norm_stats, mode=mode, gmm=result.gmm, group_by_clip=False)]
+with open(sys.argv[1], "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest(), hashlib.sha256(np.array(scores).tobytes()).hexdigest())
+"""
+
+
 class TestFit:
     def test_zero_epochs_returns_initialized_state(self):
         data = tiny_data()
@@ -595,6 +617,18 @@ class TestFit:
         tr.fit(cfg, TINY_ARCH, data, checkpoint_path=p1)
         tr.fit(cfg, TINY_ARCH, data, checkpoint_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_checkpoint_and_scores_do_not_depend_on_blas_threads(self, tmp_path):
+        src = str(Path(anomix.__file__).resolve().parent.parent)
+        digests = []
+        for threads in (1, 2):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run([sys.executable, "-c", FIT_AND_SCORE, str(tmp_path / f"{threads}.gmgc")],
+                                 env=env, capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.split())
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("mode", ["latent", "energy"])
     def test_reloaded_checkpoint_scores_bit_equal(self, tmp_path, mode):
