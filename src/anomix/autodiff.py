@@ -648,7 +648,10 @@ def softmax_rows(x: Tensor) -> Tensor:
 # numeric differentiation (used by the verify command and the test suite)
 # ---------------------------------------------------------------------------
 
-def numeric_gradient(f: Callable[[], Tensor], wrt: Tensor, h: float = 1e-5) -> np.ndarray:
+_FD_STEP = 1e-5     # central-difference step
+
+
+def numeric_gradient(f: Callable[[], Tensor], wrt: Tensor) -> np.ndarray:
     """Central finite differences of a scalar-valued closure w.r.t. one tensor.
 
     ``f`` must rebuild its graph from the current leaf values on every
@@ -660,18 +663,18 @@ def numeric_gradient(f: Callable[[], Tensor], wrt: Tensor, h: float = 1e-5) -> n
     gflat = g.reshape(-1)
     for i in range(flat.size):
         keep = flat[i]
-        flat[i] = keep + h
+        flat[i] = keep + _FD_STEP
         hi = f().item()
-        flat[i] = keep - h
+        flat[i] = keep - _FD_STEP
         lo = f().item()
         flat[i] = keep
-        gflat[i] = (hi - lo) / (2.0 * h)
+        gflat[i] = (hi - lo) / (2.0 * _FD_STEP)
     return g
 
 
-def gradient_check(f: Callable[[], Tensor], wrt: Tensor, h: float = 1e-5) -> float:
+def gradient_check(f: Callable[[], Tensor], wrt: Tensor) -> float:
     """Max relative error |analytic - numeric| / max(1, |analytic|)."""
     analytic = backward(f(), [wrt])[0]
-    numeric = numeric_gradient(f, wrt, h=h)
+    numeric = numeric_gradient(f, wrt)
     denom = np.maximum(1.0, np.abs(analytic))
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -305,7 +305,10 @@ def log_compress_and_frame(
 # normalization
 # ---------------------------------------------------------------------------
 
-def compute_norm_stats(patches: np.ndarray, std_floor: float = 1e-8) -> NormStats:
+_STD_FLOOR = 1e-8   # a constant band's std, so normalizing it divides by no zero
+
+
+def compute_norm_stats(patches: np.ndarray) -> NormStats:
     """Per-band mean/std over every patch and frame of a training set.
 
     One band at a time: its [n x frames] values are copied into one
@@ -321,7 +324,7 @@ def compute_norm_stats(patches: np.ndarray, std_floor: float = 1e-8) -> NormStat
     for b in range(bands):
         np.copyto(row, patches[:, b, :])
         mean[b], std[b] = row.mean(), row.std()
-    return NormStats(mean=mean, std=np.maximum(std, std_floor))
+    return NormStats(mean=mean, std=np.maximum(std, _STD_FLOOR))
 
 
 # ---------------------------------------------------------------------------

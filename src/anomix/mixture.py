@@ -34,6 +34,7 @@ from .errors import InvalidInputError, NumericError
 
 DEFAULT_COV_EPS = 1e-6
 DEGENERATE_MASS = 1e-12
+_VALIDATE_ATOL = 1e-9       # slack of GmmParams.validate's weight-sum and symmetry checks
 
 
 @dataclass
@@ -57,18 +58,17 @@ class GmmParams:
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.alpha.data.copy(), self.means.data.copy(), self.covariances.data.copy()
 
-    def validate(self, atol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Raise NumericError if any invariant fails.
 
         Weights nonnegative and summing to 1, covariances symmetric and
-        positive definite (Cholesky must succeed).
+        positive definite (Cholesky must succeed).  Finite values need no
+        check: a ``Tensor`` refuses a non-finite value when it is built.
         """
-        alpha, means, covs = self.as_arrays()
-        if np.any(alpha < -atol) or abs(alpha.sum() - 1.0) > atol:
+        alpha, covs = self.alpha.data, self.covariances.data
+        if np.any(alpha < -_VALIDATE_ATOL) or abs(alpha.sum() - 1.0) > _VALIDATE_ATOL:
             raise NumericError(f"mixture weights invalid: {alpha}")
-        if not np.all(np.isfinite(means)):
-            raise NumericError("non-finite mixture mean")
-        asymmetric = np.any(np.abs(covs - covs.transpose(0, 2, 1)) > atol, axis=(1, 2))
+        asymmetric = np.any(np.abs(covs - covs.transpose(0, 2, 1)) > _VALIDATE_ATOL, axis=(1, 2))
         if asymmetric.any():
             raise NumericError(f"covariance {int(np.argmax(asymmetric))} is not symmetric")
         try:

@@ -19,13 +19,14 @@ Checkpoint ("GMGC" file), all integers little-endian:
     0       4           magic b"GMGC"
     4       4           u32 version (currently 1)
     8       4           u32 config byte length
-    12      ...         UTF-8 "key=value\\n" lines (sorted keys)
+    12      ...         UTF-8 "key=value\\n" lines: ArchConfig's fields
+                        sorted by name, then init_seed
     ...     4           u32 array count
     per array:
             2           u16 name byte length
             ...         UTF-8 name
-            1           u8 ndim
-            4*ndim      u32 dims
+            1           u8 ndim, at most 3
+            4*ndim      u32 dims, none of them 0
             8*prod      f64 values, row-major
 
 Array names: "<network>.w<i>"/"<network>.b<i>" for the five networks,
@@ -35,8 +36,10 @@ statistics (required: a model scores only through them), and optionally
 
 Values are float64 on disk whatever the model's dtype: a float32
 parameter widens to float64 exactly, so saving and loading a float32
-model gives back the same values.  ``load_checkpoint`` builds the
-float32 model and narrows each network array once.
+model gives back the same values.  ``load_checkpoint`` reads the file
+whole and parses it in one pass: it builds the float32 model, and
+narrows and checks each array once, from a view into the file's bytes,
+as it reads it.
 """
 
 from __future__ import annotations
@@ -100,39 +103,6 @@ class ArchConfig:
             raise InvalidConfigError(f"leaky_slope must be finite, got {self.leaky_slope}")
         if not (math.isfinite(self.output_scale) and self.output_scale > 0):
             raise InvalidConfigError(f"output_scale must be finite and > 0, got {self.output_scale}")
-
-    def to_text(self) -> str:
-        pairs = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            pairs[f.name] = ",".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
-        return "".join(f"{k}={pairs[k]}\n" for k in sorted(pairs))
-
-    @classmethod
-    def from_text(cls, text: str) -> "ArchConfig":
-        kinds = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            key, _, value = line.partition("=")
-            if key not in kinds:
-                raise FormatError(f"unknown checkpoint config key {key!r}")
-            try:
-                if kinds[key] == "tuple":
-                    kwargs[key] = tuple(int(x) for x in value.split(",") if x)
-                elif kinds[key] == "float":
-                    kwargs[key] = float(value)
-                else:
-                    kwargs[key] = int(value)
-            except ValueError as err:
-                raise FormatError(f"checkpoint config {key}={value!r} is not a valid {kinds[key]}") from err
-        arch = cls(**kwargs)
-        try:
-            arch.validate()
-        except InvalidConfigError as err:
-            raise FormatError(f"checkpoint config: {err}") from err
-        return arch
 
 
 class Mlp:
@@ -302,12 +272,47 @@ def _named_arrays(model: Model, norm_stats: NormStats, gmm: GmmParams | None):
         yield "gmm.sigma", covs
 
 
+# How each config value is read back: by ArchConfig's field types, and
+# init_seed as one more int.
+_CONFIG_VALUE = {"int": int, "float": float, "tuple": lambda v: tuple(int(x) for x in v.split(",") if x)}
+
+
+def _config_text(model: Model) -> str:
+    """The config block: ArchConfig's fields sorted by name, then init_seed."""
+    pairs = sorted((f.name, getattr(model.arch, f.name)) for f in fields(ArchConfig))
+    pairs.append(("init_seed", model.init_seed))
+    return "".join(f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else str(v)}\n" for k, v in pairs)
+
+
+def _read_config(path, text: str) -> tuple[ArchConfig, int]:
+    """The arch and init seed of a config block; a missing key keeps its
+    default (init_seed 0)."""
+    kinds = {f.name: f.type for f in fields(ArchConfig)} | {"init_seed": "int"}
+    values = {"init_seed": 0}
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        key, _, value = line.partition("=")
+        if key not in kinds:
+            raise FormatError(f"{path}: unknown checkpoint config key {key!r}")
+        try:
+            values[key] = _CONFIG_VALUE[kinds[key]](value)
+        except ValueError as err:
+            raise FormatError(f"{path}: checkpoint config {key}={value!r} is not a valid {kinds[key]}") from err
+    seed = values.pop("init_seed")
+    arch = ArchConfig(**values)
+    try:
+        arch.validate()
+    except InvalidConfigError as err:
+        raise FormatError(f"{path}: checkpoint config: {err}") from err
+    return arch, seed
+
+
 def save_checkpoint(path, model: Model, norm_stats: NormStats, gmm: GmmParams | None = None) -> None:
     """Write a GMGC file.  A file already at ``path`` is replaced only
     once the new one is complete; if writing fails it is left as it was."""
     arrays = list(_named_arrays(model, norm_stats, gmm))
-    config = model.arch.to_text() + f"init_seed={model.init_seed}\n"
-    blob = config.encode("utf-8")
+    blob = _config_text(model).encode("utf-8")
     with replace_on_success(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
@@ -333,43 +338,48 @@ def _array(path, arrays: dict, name: str) -> np.ndarray:
 def load_checkpoint(path) -> Checkpoint:
     """Parse a GMGC file into a model of the default dtype.  Raises
     FormatError on any structural problem, a config that fails
-    ``ArchConfig.validate``, a missing network or norm array, an array
-    value that is not finite in the dtype it is loaded as (so a float32
-    network's value above float32's range too), norm arrays that are not
-    two per-band vectors of one length with a positive std, or a mixture whose shapes do not match the arch's
-    n_components and latent_dim."""
+    ``ArchConfig.validate``, an array of more than 3 dims or with a dim
+    of 0, a missing network or norm array, an array value that is not
+    finite in the dtype it is loaded as (so a float32 network's value
+    above float32's range too), norm arrays that are not two per-band
+    vectors of one length with a positive std, or a mixture whose shapes
+    do not match the arch's n_components and latent_dim."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
+    if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a GMGC checkpoint")
-    version, config_len = struct.unpack_from("<II", blob, 4)
+    pos = 4
+
+    def take(n: int) -> int:
+        # The offset of the next n bytes, which must all be in the file.
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise FormatError(f"{path}: truncated checkpoint")
+        pos += n
+        return pos - n
+
+    def text(n: int) -> str:
+        at = take(n)
+        try:
+            return blob[at:pos].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path}: checkpoint text is not UTF-8") from err
+
+    version, config_len = struct.unpack_from("<II", blob, take(8))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
-    try:
-        text = blob[off:off + config_len].decode("utf-8")
-        off += config_len
-        (count,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        stored = {}     # name -> read-only view into blob
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off:off + name_len].decode("utf-8")
-            off += name_len
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            dims = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
-            n = math.prod(dims)
-            stored[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(dims)
-            off += 8 * n
-    except (struct.error, ValueError, OverflowError) as err:
-        raise FormatError(f"{path}: truncated or corrupt checkpoint") from err
-    if off != len(blob):
-        raise FormatError(f"{path}: trailing bytes after checkpoint payload")
+    arch, seed = _read_config(path, text(config_len))
+    (count,) = struct.unpack_from("<I", blob, take(4))
     arrays = {}
-    for name, view in stored.items():
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, take(2))
+        name = text(name_len)
+        (ndim,) = struct.unpack_from("<B", blob, take(1))
+        dims = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim))
+        if ndim > 3 or 0 in dims:
+            raise FormatError(f"{path}: array {name!r} has dims {dims}; at most 3, none of them 0")
+        n = math.prod(dims)
+        view = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).reshape(dims)
         # The one copy: a value too large for float32 becomes inf here,
         # and the finiteness check below rejects it.
         with np.errstate(over="ignore"):
@@ -377,19 +387,8 @@ def load_checkpoint(path) -> Checkpoint:
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: array {name!r} has values that are not finite as {arr.dtype}")
         arrays[name] = arr
-
-    seed = 0
-    config_lines = []
-    for line in text.splitlines():
-        if line.startswith("init_seed="):
-            value = line.partition("=")[2]
-            try:
-                seed = int(value)
-            except ValueError as err:
-                raise FormatError(f"{path}: checkpoint config init_seed={value!r} is not an int") from err
-        elif line.strip():
-            config_lines.append(line)
-    arch = ArchConfig.from_text("\n".join(config_lines))
+    if pos != len(blob):
+        raise FormatError(f"{path}: trailing bytes after checkpoint payload")
 
     def layer(name, i, fan_in, fan_out):
         w, b = _array(path, arrays, f"{name}.w{i}"), _array(path, arrays, f"{name}.b{i}")

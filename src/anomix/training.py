@@ -357,10 +357,12 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
 
 
 def full_dataset_mixture(model: nets.Model, design: np.ndarray, cov_eps: float) -> mx.GmmParams:
-    """Deployment mixture: statistics over every training sample at once."""
+    """Deployment mixture: statistics over every training sample at once,
+    as leaf tensors, so that the mixture keeps neither the graph that
+    computed it nor the design."""
     z = ad.cast(nets.encode(model, Tensor(design)), np.float64)
     gamma = nets.membership(model, z)
-    return mx.estimate_gmm(z, gamma, eps=cov_eps)
+    return mx.GmmParams.from_arrays(*mx.estimate_gmm(z, gamma, eps=cov_eps).as_arrays())
 
 
 @dataclass

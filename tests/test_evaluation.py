@@ -201,6 +201,30 @@ class TestScoring:
         per_patch = ev.score_patchset(model, data, stats, mode=mode, gmm=gmm, group_by_clip=False)
         assert ev.score_patchset(model, data, stats, mode=mode, gmm=gmm) == group_by_clip_oracle(per_patch)
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", ["latent", "energy"])
+    def test_grouping_does_not_depend_on_patch_order_within_a_clip(self, seed, mode):
+        # Each clip's patches are permuted among the clip's own positions,
+        # so the clips keep their order of first appearance.  Clip 0 mixes
+        # labels, which makes its label depend on its first patch.
+        model, data, stats = self._model_and_data(seed)
+        rng = np.random.default_rng(seed)
+        clips = rng.integers(0, 5, len(data))
+        labels = rng.choice([LABEL_NORMAL, LABEL_ANOMALOUS, LABEL_UNKNOWN], 5)[clips]
+        labels[clips == 0] = rng.choice([LABEL_NORMAL, LABEL_UNKNOWN], (clips == 0).sum())
+        order = np.arange(len(data))
+        for k in range(5):
+            order[clips == k] = rng.permutation(order[clips == k])
+        gmm = mx.GmmParams.from_arrays(np.full(2, 0.5), np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
+        ids = [f"clip-{k}" for k in clips]
+        before, after = (ev.score_patchset(model, PatchSet(patches=data.patches[o], source_ids=ids, labels=labels[o]),
+                                           stats, mode=mode, gmm=gmm)
+                         for o in (np.arange(len(data)), order))
+        assert [s.source_id for s in after] == [s.source_id for s in before]
+        assert [s.score for s in after] == [s.score for s in before]
+        uniform = {f"clip-{k}" for k in range(1, 5)}
+        assert [s.label for s in after if s.source_id in uniform] == [s.label for s in before if s.source_id in uniform]
+
     @pytest.mark.parametrize("shape", [(8, 2), (2, 8), (4, 8)])
     def test_patch_shape_other_than_fitted_raises_before_normalizing(self, monkeypatch, shape):
         arch = nets.ArchConfig(input_dim=16, latent_dim=2, n_components=2, encoder_widths=(8,),

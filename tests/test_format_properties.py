@@ -2,9 +2,13 @@
 
 Every truncated prefix and every single-byte change of a valid
 checkpoint must either load or raise FormatError, never another
-exception.  Example counts are bounded so the suite stays quick; the
-search is derandomized so a run is repeatable.
+exception.  Changes confined to the config block get a test of their
+own, since few changes drawn over the whole file land there.  Example
+counts are bounded so the suite stays quick; the search is
+derandomized so a run is repeatable.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -52,9 +56,10 @@ def truncated(data, blob):
     return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
 
 
-def mutated(data, blob):
+def mutated(data, blob, start=0, stop=None):
+    """``blob`` with one byte in [start, stop) changed."""
     out = bytearray(blob)
-    position = data.draw(st.integers(0, len(blob) - 1), label="position")
+    position = data.draw(st.integers(start, (len(blob) if stop is None else stop) - 1), label="position")
     out[position] = data.draw(st.integers(0, 255).filter(lambda v: v != blob[position]), label="value")
     return bytes(out)
 
@@ -74,3 +79,10 @@ def test_gmgc_truncated_prefix(tmp_path, gmgc_bytes, data):
 @given(data=st.data())
 def test_gmgc_single_byte_mutation(tmp_path, gmgc_bytes, data):
     parses_or_format_error(tmp_path, mutated(data, gmgc_bytes), nets.load_checkpoint)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_gmgc_config_block_single_byte_mutation(tmp_path, gmgc_bytes, data):
+    (config_len,) = struct.unpack_from("<I", gmgc_bytes, 8)
+    parses_or_format_error(tmp_path, mutated(data, gmgc_bytes, 12, 12 + config_len), nets.load_checkpoint)

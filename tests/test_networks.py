@@ -203,11 +203,6 @@ class TestArchValidation:
     def test_empty_width_tuples_are_valid(self):
         nets.ArchConfig(encoder_widths=(), discriminator_widths=(), estimator_widths=()).validate()
 
-    def test_from_text_rejects_invalid_arch(self):
-        text = SMALL.to_text().replace("latent_dim=4", "latent_dim=0")
-        with pytest.raises(FormatError, match="latent_dim"):
-            nets.ArchConfig.from_text(text)
-
 
 class TestCheckpoint:
     def _stats_and_gmm(self):
@@ -255,6 +250,23 @@ class TestCheckpoint:
         nets.save_checkpoint(p2, nets.load_checkpoint(p1).model, stats, gmm)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_config_block_is_sorted_arch_fields_then_init_seed(self, tmp_path):
+        p = tmp_path / "cfg.gmgc"
+        nets.save_checkpoint(p, small_model(31), self._stats())
+        blob = p.read_bytes()
+        (config_len,) = struct.unpack_from("<I", blob, 8)
+        assert blob[12:12 + config_len] == (
+            b"discriminator_widths=12\n"
+            b"encoder_widths=16,8\n"
+            b"estimator_widths=6\n"
+            b"input_dim=36\n"
+            b"latent_dim=4\n"
+            b"leaky_slope=0.2\n"
+            b"n_components=3\n"
+            b"output_scale=4.0\n"
+            b"init_seed=31\n"
+        )
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.gmgc"
         p.write_bytes(b"XXXX" + b"\x00" * 20)
@@ -273,6 +285,7 @@ class TestCheckpoint:
         (b"init_seed=31", b"init_seed=z1"),
         (b"leaky_slope=0.2", b"leaky_slope=0.x"),
         (b"encoder_widths=16,8", b"encoder_widths=16;8"),
+        (b"latent_dim=4", b"latent_dim=0"),     # parses, but fails ArchConfig.validate
     ])
     def test_corrupt_config_value_is_format_error(self, tmp_path, old, new):
         p = tmp_path / "cfg.gmgc"
@@ -363,6 +376,18 @@ class TestCheckpoint:
             + struct.pack("<H", 1) + b"x" + struct.pack("<B3I", 3, *[0xFFFFFFFF] * 3)
         )
         with pytest.raises(FormatError):
+            nets.load_checkpoint(p)
+
+    # numpy refuses both shapes, so the loader must check them itself.
+    @pytest.mark.parametrize("dims", [(0, 0xFFFFFFFF, 0xFFFFFFFF), (1,) * 65])
+    def test_array_dims_numpy_cannot_hold_are_format_error(self, tmp_path, dims):
+        p = tmp_path / "dims.gmgc"
+        p.write_bytes(
+            nets.CHECKPOINT_MAGIC + struct.pack("<III", nets.CHECKPOINT_VERSION, 0, 1)
+            + struct.pack("<H", 1) + b"x" + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+            + struct.pack("<d", 1.0) * (0 not in dims)
+        )
+        with pytest.raises(FormatError, match="has dims"):
             nets.load_checkpoint(p)
 
     def test_layer_shape_mismatch_is_format_error(self, tmp_path):

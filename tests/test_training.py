@@ -694,6 +694,23 @@ class TestFit:
         with pytest.raises(InvalidConfigError):
             tr.fit(TINY_CONFIG, nets.ArchConfig(input_dim=100), tiny_data())
 
+    def test_fit_result_keeps_no_graph_and_no_design(self):
+        # A mixture that kept the graph computing it would keep the
+        # normalized training design (2 MiB of float32 here) alive.
+        cfg = tr.TrainConfig(epochs=0, batch_size=16)
+        tr.fit(cfg, TINY_ARCH, tiny_data())     # first-call allocations, untraced
+        data = tiny_data(n=2048)
+        tracemalloc.start()
+        try:
+            result = tr.fit(cfg, TINY_ARCH, data)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(t._parents == () for t in (result.gmm.alpha, result.gmm.means, result.gmm.covariances))
+        held = sum(p.data.nbytes for p in result.model.all_parameters())
+        held += result.norm_stats.mean.nbytes + result.norm_stats.std.nbytes
+        assert live <= held + 64 * 1024, (live, held)
+
     def test_final_mixture_satisfies_invariants(self):
         result = tr.fit(TINY_CONFIG, TINY_ARCH, tiny_data())
         result.gmm.validate()
