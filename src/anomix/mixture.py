@@ -176,11 +176,11 @@ def _m_step(z: np.ndarray, resp: np.ndarray, eps: float) -> tuple[np.ndarray, np
     return alpha, means, covs
 
 
-def cross_check_estimation(z: np.ndarray, gamma: np.ndarray, eps: float = DEFAULT_COV_EPS) -> float:
+def cross_check_estimation(z: np.ndarray, gamma: np.ndarray) -> float:
     """Largest absolute difference, over weights, means and covariances,
     between estimate_gmm and one EM M-step on identical responsibilities."""
     z = np.asarray(z, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
-    graph = estimate_gmm(Tensor(z), Tensor(gamma), eps=eps).as_arrays()
-    oracle = _m_step(z, gamma, eps)
+    graph = estimate_gmm(Tensor(z), Tensor(gamma)).as_arrays()
+    oracle = _m_step(z, gamma, DEFAULT_COV_EPS)
     return max(float(np.max(np.abs(g - e))) for g, e in zip(graph, oracle))

@@ -94,11 +94,12 @@ class ArchConfig:
             "discriminator_widths": self.discriminator_widths, "estimator_widths": self.estimator_widths,
         }
         for name, values in sizes.items():
-            if not all(isinstance(v, numbers.Integral) and v >= 1 for v in values):
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1 for v in values):
                 raise InvalidConfigError(f"{name} must be integers >= 1, got {getattr(self, name)!r}")
         for name in ("leaky_slope", "output_scale"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InvalidConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise InvalidConfigError(f"{name} must be a number, got {value!r}")
         if not math.isfinite(self.leaky_slope):
             raise InvalidConfigError(f"leaky_slope must be finite, got {self.leaky_slope}")
         if not (math.isfinite(self.output_scale) and self.output_scale > 0):

@@ -58,27 +58,43 @@ from .features import LABEL_ANOMALOUS, NormStats, PatchSet, compute_norm_stats
 METRICS_HEADER = ["step", "epoch", "l_irec", "l_adv_g", "l_adv_d", "l_zrec", "l_es", "total"]
 
 
+# Every fit's optimizer and objective.  Adam's beta1 is DCGAN's 0.5 (Radford
+# et al., arXiv 1511.06434: 0.9 made adversarial training oscillate).
+# GRAD_CLIP bounds each update's joint gradient norm.  LAMBDA1 and LAMBDA2
+# weigh the estimation term's energy and covariance-diagonal penalty, at
+# DAGMM's values (Zong et al., ICLR 2018).
+LR_GENERATOR = 1e-3
+LR_DISCRIMINATOR = 1e-4
+ADAM_BETA1 = 0.5
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+GRAD_CLIP = 5.0
+LAMBDA1 = 0.1
+LAMBDA2 = 0.005
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings of one ``fit``: ``epochs`` passes of floor(n /
+    ``batch_size``) steps, initialized and shuffled from ``seed``; the
+    generator side's loss ``weights`` (a zero ``w_adversarial`` skips the
+    discriminator update); ``cov_eps``, added to every mixture
+    covariance's diagonal; and a checkpoint every ``checkpoint_every``
+    steps, the most an abort loses."""
+
     epochs: int = 4
     batch_size: int = 64
     seed: int = 0
-    lr_generator: float = 1e-3
-    lr_discriminator: float = 1e-4
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weights: ls.LossWeights = field(default_factory=ls.LossWeights)
-    lambda1: float = 0.1
-    lambda2: float = 0.005
     cov_eps: float = mx.DEFAULT_COV_EPS
-    grad_clip: float = 5.0
     checkpoint_every: int = 100
 
     def validate(self) -> None:
+        # bool is an Integral, and so a Real, but True is no count or weight.
         for name in ("epochs", "batch_size", "seed", "checkpoint_every"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise InvalidConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
         # Every check is written as "not <what must hold>", so a NaN fails it.
         if not self.epochs >= 0:
             raise InvalidConfigError("epochs must be >= 0")
@@ -86,20 +102,9 @@ class TrainConfig:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.batch_size >= 2:
             raise InvalidConfigError("batch_size must be >= 2 (mixture statistics need 2 samples)")
-        positive = {"lr_generator": self.lr_generator, "lr_discriminator": self.lr_discriminator,
-                    "adam_eps": self.adam_eps, "grad_clip": self.grad_clip}
-        nonnegative = {"cov_eps": self.cov_eps, "lambda1": self.lambda1, "lambda2": self.lambda2,
-                       **asdict(self.weights)}
-        betas = {"adam_beta1": self.adam_beta1, "adam_beta2": self.adam_beta2}
-        for name, value in {**positive, **nonnegative, **betas}.items():
-            if not isinstance(value, numbers.Real):
+        for name, value in {"cov_eps": self.cov_eps, **asdict(self.weights)}.items():
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise InvalidConfigError(f"{name} must be a number, got {value!r}")
-        for name, value in positive.items():
-            if not 0 < value < math.inf:
-                raise InvalidConfigError(f"{name} must be finite and > 0, got {value}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise InvalidConfigError("adam betas must lie in [0, 1)")
-        for name, value in nonnegative.items():
             if not 0 <= value < math.inf:
                 raise InvalidConfigError(f"{name} must be finite and >= 0, got {value}")
         if not self.checkpoint_every >= 1:
@@ -277,14 +282,9 @@ def make_train_state(arch: nets.ArchConfig, config: TrainConfig) -> TrainState:
     model = nets.init_model(arch, config.seed)
     return TrainState(
         model=model,
-        adam_generator=AdamState(
-            model.generator_parameters(), config.lr_generator,
-            config.adam_beta1, config.adam_beta2, config.adam_eps,
-        ),
-        adam_discriminator=AdamState(
-            model.discriminator_parameters(), config.lr_discriminator,
-            config.adam_beta1, config.adam_beta2, config.adam_eps,
-        ),
+        adam_generator=AdamState(model.generator_parameters(), LR_GENERATOR, ADAM_BETA1, ADAM_BETA2, ADAM_EPS),
+        adam_discriminator=AdamState(model.discriminator_parameters(), LR_DISCRIMINATOR,
+                                     ADAM_BETA1, ADAM_BETA2, ADAM_EPS),
     )
 
 
@@ -312,7 +312,7 @@ def generator_loss(model: nets.Model, x: Tensor, z: Tensor, x_rec: Tensor,
     image = ls.image_reconstruction_loss(x, x_rec)
     latent = ls.latent_representation_loss(z, z_rec)
     adversarial = ls.generator_adversarial_loss(nets.discriminate(model, x_rec))
-    estimation = mx.estimation_loss(z_mix, gamma, gmm, config.lambda1, config.lambda2)
+    estimation = mx.estimation_loss(z_mix, gamma, gmm, LAMBDA1, LAMBDA2)
     total = ls.total_generator_loss(image, adversarial, latent, estimation, config.weights)
     return GeneratorLoss(image, adversarial, latent, estimation, total)
 
@@ -339,11 +339,11 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     disc_loss_value = disc_loss.item()
     if config.weights.w_adversarial > 0.0:
         grads = ad.backward(disc_loss, state.adam_discriminator.params)
-        adam_update(state.adam_discriminator, grads, clip_global_norm(grads, config.grad_clip))
+        adam_update(state.adam_discriminator, grads, clip_global_norm(grads, GRAD_CLIP))
 
     loss = generator_loss(model, x, z, x_rec, config)
     grads = ad.backward(loss.total, state.adam_generator.params)
-    adam_update(state.adam_generator, grads, clip_global_norm(grads, config.grad_clip))
+    adam_update(state.adam_generator, grads, clip_global_norm(grads, GRAD_CLIP))
 
     state.step += 1
     return ls.LossBreakdown(

@@ -21,8 +21,10 @@ maximum observed error:
   Cholesky factor (1e-10).
 
 Everything runs in float64, the four big networks included, so the
-tolerances measure the maths and not float32 rounding.  All instances
-are seeded, so a passing build passes forever.
+tolerances measure the maths and not float32 rounding.  The seeds are
+fixed, so a passing build passes forever: gradient trial t uses seed t,
+the full objective seeds 0 (model) and 999 (batch), the EM cross-checks
+17 and the energy checks 29.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _mixture_loss_gradient_cases(rng):
 
     def mixture_loss(memberships):
         params = mx.estimate_gmm(z, memberships, eps=1e-3)
-        return mx.estimation_loss(z, memberships, params, 0.1, 0.005)
+        return mx.estimation_loss(z, memberships, params, tr.LAMBDA1, tr.LAMBDA2)
 
     return [
         ("mixture loss d/dz", lambda: mixture_loss(gamma), z),
@@ -215,10 +217,10 @@ def gradient_cases(rng) -> list[tuple[str, Callable[[], Tensor], Tensor, float]]
     return out
 
 
-def gradient_checks(seed: int = 0, instances: int = INSTANCES) -> list[CheckResult]:
+def gradient_checks() -> list[CheckResult]:
     worst: dict[str, CheckResult] = {}
-    for trial in range(instances):
-        rng = np.random.default_rng(seed * 1000 + trial)
+    for trial in range(INSTANCES):
+        rng = np.random.default_rng(trial)
         for name, f, wrt, tol in gradient_cases(rng):
             err = ad.gradient_check(f, wrt)
             if name not in worst or err > worst[name].max_error:
@@ -226,7 +228,7 @@ def gradient_checks(seed: int = 0, instances: int = INSTANCES) -> list[CheckResu
     return list(worst.values())
 
 
-def full_pipeline_gradient_check(seed: int = 0) -> CheckResult:
+def full_pipeline_gradient_check() -> CheckResult:
     """Finite differences through ``training.generator_loss``, the
     objective the generator update minimizes, network parameters
     included, on a small model and batch."""
@@ -234,8 +236,8 @@ def full_pipeline_gradient_check(seed: int = 0) -> CheckResult:
         input_dim=16, latent_dim=2, n_components=2,
         encoder_widths=(6,), discriminator_widths=(5,), estimator_widths=(4,),
     )
-    model = nets.init_model(arch, seed, dtype=np.float64)
-    rng = np.random.default_rng(seed + 999)
+    model = nets.init_model(arch, 0, dtype=np.float64)
+    rng = np.random.default_rng(999)
     x = Tensor(rng.standard_normal((5, 16)))
     config = tr.TrainConfig(cov_eps=1e-3)
 
@@ -251,10 +253,10 @@ def full_pipeline_gradient_check(seed: int = 0) -> CheckResult:
     return CheckResult("full objective d/dparams", GRAD_TOL_MIXTURE, max_err)
 
 
-def mixture_cross_checks(seed: int = 0, instances: int = 100) -> CheckResult:
-    rng = np.random.default_rng(seed + 17)
+def mixture_cross_checks() -> CheckResult:
+    rng = np.random.default_rng(17)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         n = int(rng.integers(2, 51))
         d = int(rng.integers(1, 5))
         k = int(rng.integers(1, 5))
@@ -264,10 +266,10 @@ def mixture_cross_checks(seed: int = 0, instances: int = 100) -> CheckResult:
     return CheckResult("mixture statistics vs EM M-step", CROSS_CHECK_TOL, worst)
 
 
-def energy_oracle_checks(seed: int = 0, instances: int = 100) -> CheckResult:
-    rng = np.random.default_rng(seed + 29)
+def energy_oracle_checks() -> CheckResult:
+    rng = np.random.default_rng(29)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         k = int(rng.integers(1, 4))
         d = int(rng.integers(1, 4))
         alpha = rng.uniform(0.2, 1.0, size=k)
@@ -282,9 +284,9 @@ def energy_oracle_checks(seed: int = 0, instances: int = 100) -> CheckResult:
     return CheckResult("energy vs naive mixture density", ENERGY_TOL, worst)
 
 
-def run_all(seed: int = 0) -> VerifyReport:
-    checks = gradient_checks(seed)
-    checks.append(full_pipeline_gradient_check(seed))
-    checks.append(mixture_cross_checks(seed))
-    checks.append(energy_oracle_checks(seed))
+def run_all() -> VerifyReport:
+    checks = gradient_checks()
+    checks.append(full_pipeline_gradient_check())
+    checks.append(mixture_cross_checks())
+    checks.append(energy_oracle_checks())
     return VerifyReport(checks=checks)

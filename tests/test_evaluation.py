@@ -18,8 +18,8 @@ from anomix.features import (
     NormStats,
     PatchSet,
     compute_norm_stats,
-    gen_synthetic_dataset,
 )
+from synthetic import gen_synthetic_dataset
 
 ARCH = nets.ArchConfig(
     input_dim=64, latent_dim=3, n_components=2,

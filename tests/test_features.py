@@ -17,6 +17,7 @@ from anomix.errors import (
     NumericError,
     UnsupportedFormatError,
 )
+from synthetic import gen_synthetic_dataset
 
 
 def write_wav_bytes(path, payload: bytes, channels=1, rate=16000, bits=16, audio_format=1):
@@ -268,9 +269,9 @@ class TestMelProject:
 
 class TestLogCompressAndFrame:
     def test_floor_value(self):
-        mel = np.full((3, 4), 1e-10)
-        ps = ft.log_compress_and_frame(mel, floor=1e-10, patch_frames=4, patch_hop=4)
-        np.testing.assert_allclose(ps.patches, np.log(1e-10))
+        mel = np.zeros((3, 4))
+        ps = ft.log_compress_and_frame(mel, patch_frames=4, patch_hop=4)
+        np.testing.assert_array_equal(ps.patches, np.log(ft.DEFAULT_LOG_FLOOR))
 
     def test_patch_count_example(self):
         ps = ft.log_compress_and_frame(np.ones((2, 10)), patch_frames=4, patch_hop=2)
@@ -383,19 +384,19 @@ def transposed_copy_norm_stats(patches, std_floor=1e-8):
 
 class TestSyntheticDataset:
     def test_same_seed_bit_identical(self):
-        a = ft.gen_synthetic_dataset(11, 20, 10, shape=(8, 8))
-        b = ft.gen_synthetic_dataset(11, 20, 10, shape=(8, 8))
+        a = gen_synthetic_dataset(11, 20, 10, shape=(8, 8))
+        b = gen_synthetic_dataset(11, 20, 10, shape=(8, 8))
         assert a.patches.tobytes() == b.patches.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
         assert a.source_ids == b.source_ids
 
     def test_no_anomalies_all_normal(self):
-        ps = ft.gen_synthetic_dataset(3, 15, 0, shape=(8, 8))
+        ps = gen_synthetic_dataset(3, 15, 0, shape=(8, 8))
         assert (ps.labels == ft.LABEL_NORMAL).all()
 
     @pytest.mark.parametrize("seed", [1, 42])
     def test_population_means_differ_by_at_least_shift(self, seed):
-        ps = ft.gen_synthetic_dataset(seed, 400, 200, shape=(16, 16), shift=4.0)
+        ps = gen_synthetic_dataset(seed, 400, 200, shape=(16, 16), shift=4.0)
         normal = ps.patches[ps.labels == ft.LABEL_NORMAL].reshape(400, -1)
         anom = ps.patches[ps.labels == ft.LABEL_ANOMALOUS].reshape(200, -1)
         assert np.linalg.norm(anom.mean(axis=0) - normal.mean(axis=0)) >= 4.0
@@ -406,7 +407,7 @@ class TestPatchContainer:
     patches and labels that ``LABEL_NAMES`` names."""
 
     def test_label_outside_known_values_rejected(self):
-        ps = ft.gen_synthetic_dataset(5, 4, 0, shape=(4, 4))
+        ps = gen_synthetic_dataset(5, 4, 0, shape=(4, 4))
         labels = ps.labels.copy()
         labels[2] = 7
         with pytest.raises(InvalidInputError, match="label 7"):
@@ -414,7 +415,7 @@ class TestPatchContainer:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_patch_value_rejected(self, value):
-        ps = ft.gen_synthetic_dataset(5, 4, 0, shape=(4, 4))
+        ps = gen_synthetic_dataset(5, 4, 0, shape=(4, 4))
         ps.patches[1, 2, 3] = value
         with pytest.raises(NumericError, match="non-finite patch"):
             ft.PatchSet(patches=ps.patches, labels=ps.labels)

@@ -195,6 +195,11 @@ class TestArchValidation:
         dict(discriminator_widths=[8, 4]),
         dict(estimator_widths=[]),
         dict(encoder_widths=8),
+        dict(input_dim=True),
+        dict(latent_dim=True),
+        dict(estimator_widths=(True,)),
+        dict(leaky_slope=False),
+        dict(output_scale=True),
     ])
     def test_invalid_arch_rejected(self, bad):
         with pytest.raises(InvalidConfigError):

@@ -8,27 +8,41 @@ passes.  The file is loaded read-only: no bytecode is written beside it.
 Every public ``autodiff`` op has a use in the package outside
 ``verify``, so no op is kept only to be checked.  Every other public
 function and class has a caller in the package or the benchmark, or is
-traced by it, unless ``NO_CALLER_YET`` says why not.  ``dense``'s
-activation selects no branch per element.
+traced by it, unless ``NO_CALLER_YET`` says why not.  Every field of
+``TrainConfig`` and ``ArchConfig`` is set by keyword in some call in the
+package or the benchmark, unless ``UNSET_FIELDS`` says why it stays, so
+a setting nothing sets does not grow back.  ``dense``'s activation
+selects no branch per element.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
 from anomix import autodiff as ad
+from anomix import networks as nets
+from anomix import training as tr
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "anomix").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "benchmark").glob("*.py"))
 SPANS = ROOT / "benchmark" / "spans.py"
 # verify weighs each op's output with ``mul`` to make its scalar probes.
 PROBE_COMBINATORS = {"mul"}
 # Public names with no caller in src/anomix or benchmark/, and why.
 NO_CALLER_YET = {
-    "gen_synthetic_dataset": "the test suite's data generator",
     "write_scores_csv": "waits for the planned `score` command",
     "run_all": "waits for the planned `verify --json` command",
+}
+# Config fields that no call in src/anomix or benchmark/ sets, and why.
+UNSET_FIELDS = {
+    "weights": "the planned loss ablation sets each weight to 0",
+    "checkpoint_every": "a deployment setting: how many steps an abort may lose",
+    "leaky_slope": "written in every GMGC v1 config block; dropping it changes the format",
+    "output_scale": "written in every GMGC v1 config block; dropping it changes the format",
 }
 
 
@@ -68,12 +82,11 @@ def test_every_autodiff_op_has_a_caller_outside_verify():
 
 
 def test_every_public_name_has_a_caller(monkeypatch):
-    package = sorted((ROOT / "src" / "anomix").glob("*.py"))
-    public = {node.name: path.stem for path in package for node in ast.parse(path.read_text()).body
+    public = {node.name: path.stem for path in PACKAGE for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
     assert {"fit", "Model", "run_all"} <= public.keys()
     used = {attr for _, attr in load_spans(monkeypatch).TRACED}
-    for path in package + sorted((ROOT / "benchmark").glob("*.py")):
+    for path in SOURCES:
         for top in ast.parse(path.read_text()).body:
             # A definition's references to its own name are not callers.
             own = getattr(top, "name", None)
@@ -90,6 +103,20 @@ def test_every_public_name_has_a_caller(monkeypatch):
     unused = sorted(f"{public[name]}.{name}" for name in public.keys() - used - NO_CALLER_YET.keys())
     assert not unused, f"public names with no caller in src/anomix or benchmark/: {unused}"
     assert NO_CALLER_YET.keys() <= public.keys() - used, "NO_CALLER_YET lists a name that has a caller"
+
+
+def test_every_config_field_is_set_by_a_caller():
+    configs = (tr.TrainConfig, nets.ArchConfig)
+    names = {cls.__name__ for cls in configs}
+    set_by_keyword = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in names:
+                set_by_keyword.update(kw.arg for kw in node.keywords if kw.arg)
+    unset = {f.name for cls in configs for f in dataclasses.fields(cls)} - set_by_keyword
+    nothing_sets = sorted(unset - UNSET_FIELDS.keys())
+    assert not nothing_sets, f"config fields that no call in src/anomix or benchmark/ sets: {nothing_sets}"
+    assert UNSET_FIELDS.keys() <= unset, "UNSET_FIELDS lists a field that a caller sets"
 
 
 def test_dense_activation_has_no_masked_select():
