@@ -397,6 +397,27 @@ class TestTrainStep:
         assert param_digest(s1.model.all_parameters()) == param_digest(s2.model.all_parameters())
         assert b1 == b2
 
+    @pytest.mark.parametrize("name, value", [
+        ("LR_GENERATOR", 2e-3), ("LR_DISCRIMINATOR", 2e-4), ("ADAM_BETA1", 0.9),
+        ("ADAM_BETA2", 0.9), ("ADAM_EPS", 1e-2), ("GRAD_CLIP", 1e-3),
+        ("LAMBDA1", 1.0), ("LAMBDA2", 0.5),
+    ])
+    def test_each_training_constant_reaches_the_update(self, name, value, monkeypatch):
+        # Two steps: on the first, bias-corrected Adam's update does not
+        # depend on the betas, and a clip factor only scales m and v.
+        def two_steps():
+            state, _ = self._state_and_batch()
+            rng = np.random.default_rng(1)
+            for _ in range(2):
+                tr.train_step(state, rng.standard_normal((8, 256)), tr.TrainConfig(batch_size=8))
+            return [p.data.copy() for p in state.model.all_parameters()]
+
+        base = two_steps()
+        monkeypatch.setattr(tr, name, value)
+        moved = two_steps()
+        # Far above float32 rounding of these parameters.
+        assert max(float(np.max(np.abs(a - b))) for a, b in zip(moved, base)) > 1e-5
+
     def test_zero_weights_leave_parameters_unchanged(self):
         state, batch = self._state_and_batch()
         cfg = tr.TrainConfig(batch_size=8, weights=LossWeights(0.0, 0.0, 0.0, 0.0))
