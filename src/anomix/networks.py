@@ -13,11 +13,11 @@ the model's dtype, float32 unless ``init_model`` is asked for float64.
 The estimator is always float64: it feeds the mixture head, whose
 covariances, Cholesky factors and energies are float64.
 
-Checkpoint ("GMGC" file), all integers little-endian:
+Checkpoint ("GMGC" file), all integers and values little-endian:
 
     offset  size        field
     0       4           magic b"GMGC"
-    4       4           u32 version (currently 1)
+    4       4           u32 version (currently 2)
     8       4           u32 config byte length
     12      ...         UTF-8 "key=value\\n" lines: ArchConfig's fields
                         sorted by name, then init_seed
@@ -25,21 +25,21 @@ Checkpoint ("GMGC" file), all integers little-endian:
     per array:
             2           u16 name byte length
             ...         UTF-8 name
+            1           u8 bytes per value: 4 (float32) or 8 (float64)
             1           u8 ndim, at most 3
             4*ndim      u32 dims, none of them 0
-            8*prod      f64 values, row-major
+            size*prod   values, row-major
 
 Array names: "<network>.w<i>"/"<network>.b<i>" for the five networks,
 "norm.mean"/"norm.std" for the training set's per-band normalization
 statistics (required: a model scores only through them), and optionally
 "gmm.alpha"/"gmm.mu"/"gmm.sigma" for the deployment mixture.
 
-Values are float64 on disk whatever the model's dtype: a float32
-parameter widens to float64 exactly, so saving and loading a float32
-model gives back the same values.  ``load_checkpoint`` reads the file
-whole and parses it in one pass: it builds the float32 model, and
-narrows and checks each array once, from a view into the file's bytes,
-as it reads it.
+Each array is stored in the dtype the model holds it in: the four big
+networks in the model's dtype, which is that of "encoder.w0", and the
+estimator, norm and mixture arrays in float64.  So a file is as large
+as the arrays it holds, and ``load_checkpoint`` gives back a float32 or
+float64 model bitwise as it was saved.
 """
 
 from __future__ import annotations
@@ -59,17 +59,25 @@ from .features import NormStats
 from .mixture import GmmParams
 
 CHECKPOINT_MAGIC = b"GMGC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 NETWORK_NAMES = ("encoder", "decoder", "aux_encoder", "discriminator", "estimator")
 
-# Compute dtype of the four big networks in a new or loaded model.
+# Compute dtype of the four big networks in a new model.
 DEFAULT_DTYPE = np.float32
+
+# leaky_relu's slope below zero in the hidden layers, as in DCGAN.
+LEAKY_SLOPE = 0.2
+# The decoder's tanh output times this covers 4 std units either side
+# of a band's training mean; a reconstruction clips beyond.
+OUTPUT_SCALE = 4.0
 
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Layer widths for every network; defaults fit a 64x64 patch."""
+    """Layer widths for every network; defaults fit a 64x64 patch.  The
+    activations' ``LEAKY_SLOPE`` and ``OUTPUT_SCALE`` are constants, not
+    fields: no caller has set other values."""
 
     input_dim: int = 4096
     latent_dim: int = 8
@@ -77,33 +85,18 @@ class ArchConfig:
     encoder_widths: tuple = (512, 128)
     discriminator_widths: tuple = (256, 64)
     estimator_widths: tuple = (16,)
-    leaky_slope: float = 0.2
-    output_scale: float = 4.0   # decoder tanh covers this many std units
 
     def validate(self) -> None:
         """Every dim an integer >= 1, every width field a tuple (so the
         arch hashes and its checkpoint loads; it may be empty) of
-        integers >= 1, leaky_slope a finite number, output_scale a
-        finite positive number."""
-        for name in ("encoder_widths", "discriminator_widths", "estimator_widths"):
-            if not isinstance(getattr(self, name), tuple):
-                raise InvalidConfigError(f"{name} must be a tuple, got {getattr(self, name)!r}")
-        sizes = {
-            "input_dim": (self.input_dim,), "latent_dim": (self.latent_dim,),
-            "n_components": (self.n_components,), "encoder_widths": self.encoder_widths,
-            "discriminator_widths": self.discriminator_widths, "estimator_widths": self.estimator_widths,
-        }
-        for name, values in sizes.items():
+        integers >= 1."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "tuple" and not isinstance(value, tuple):
+                raise InvalidConfigError(f"{f.name} must be a tuple, got {value!r}")
+            values = value if f.type == "tuple" else (value,)
             if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1 for v in values):
-                raise InvalidConfigError(f"{name} must be integers >= 1, got {getattr(self, name)!r}")
-        for name in ("leaky_slope", "output_scale"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise InvalidConfigError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(self.leaky_slope):
-            raise InvalidConfigError(f"leaky_slope must be finite, got {self.leaky_slope}")
-        if not (math.isfinite(self.output_scale) and self.output_scale > 0):
-            raise InvalidConfigError(f"output_scale must be finite and > 0, got {self.output_scale}")
+                raise InvalidConfigError(f"{f.name} must be integers >= 1, got {value!r}")
 
 
 class Mlp:
@@ -111,13 +104,12 @@ class Mlp:
     one dtype.  ``name`` is the network's entry in NETWORK_NAMES, which
     a numeric error in ``forward`` reports with its layer."""
 
-    def __init__(self, name, weights, biases, hidden, output, leaky_slope):
+    def __init__(self, name, weights, biases, hidden, output):
         self.name = name
         self.weights = weights
         self.biases = biases
         self.hidden = hidden        # activation name for all but the last layer
         self.output = output        # activation name for the last layer
-        self.leaky_slope = leaky_slope
 
     @property
     def dtype(self) -> np.dtype:
@@ -135,7 +127,7 @@ class Mlp:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             try:
-                h = ad.dense(h, w, b, self.output if i == last else self.hidden, self.leaky_slope)
+                h = ad.dense(h, w, b, self.output if i == last else self.hidden, LEAKY_SLOPE)
             except NumericError as err:
                 raise NumericError(f"{self.name} layer {i}: {err}") from err
         return h
@@ -177,9 +169,9 @@ class Model:
 
 
 def _network_dtype(name: str, dtype) -> np.dtype:
-    # ``dtype`` for the four big networks.  The estimator, and the norm
-    # and mixture arrays of a checkpoint, are float64 in every model.
-    return np.dtype(dtype if name in NETWORK_NAMES and name != "estimator" else np.float64)
+    # Network or array ``name``'s dtype in a model of ``dtype``: that for
+    # the four big networks, float64 for the estimator, norm and mixture.
+    return np.dtype(np.float64 if name.partition(".")[0] in ("estimator", "norm", "gmm") else dtype)
 
 
 def _build_model(arch: ArchConfig, seed: int, layer) -> Model:
@@ -197,8 +189,7 @@ def _build_model(arch: ArchConfig, seed: int, layer) -> Model:
     nets = {}
     for name, (dims, hidden, output) in layouts.items():
         arrays = [layer(name, i, *fans) for i, fans in enumerate(zip(dims[:-1], dims[1:]))]
-        nets[name] = Mlp(name, [Tensor(w) for w, _ in arrays], [Tensor(b) for _, b in arrays],
-                         hidden, output, arch.leaky_slope)
+        nets[name] = Mlp(name, [Tensor(w) for w, _ in arrays], [Tensor(b) for _, b in arrays], hidden, output)
     return Model(arch=arch, init_seed=seed, **nets)
 
 
@@ -229,7 +220,7 @@ def decode(model: Model, z: Tensor) -> Tensor:
     """Reconstruction [batch x input_dim]; tanh output scaled to the
     normalized-input range by one ``weighted_sum`` node, in the
     decoder's dtype."""
-    return ad.weighted_sum([model.decoder.forward(z)], [model.arch.output_scale])
+    return ad.weighted_sum([model.decoder.forward(z)], [OUTPUT_SCALE])
 
 
 def encode_aux(model: Model, x: Tensor) -> Tensor:
@@ -267,15 +258,12 @@ def _named_arrays(model: Model, norm_stats: NormStats, gmm: GmmParams | None):
     yield "norm.mean", norm_stats.mean
     yield "norm.std", norm_stats.std
     if gmm is not None:
-        alpha, means, covs = gmm.as_arrays()
-        yield "gmm.alpha", alpha
-        yield "gmm.mu", means
-        yield "gmm.sigma", covs
+        yield from zip(("gmm.alpha", "gmm.mu", "gmm.sigma"), gmm.as_arrays())
 
 
 # How each config value is read back: by ArchConfig's field types, and
 # init_seed as one more int.
-_CONFIG_VALUE = {"int": int, "float": float, "tuple": lambda v: tuple(int(x) for x in v.split(",") if x)}
+_CONFIG_VALUE = {"int": int, "tuple": lambda v: tuple(int(x) for x in v.split(",") if x)}
 
 
 def _config_text(model: Model) -> str:
@@ -310,8 +298,10 @@ def _read_config(path, text: str) -> tuple[ArchConfig, int]:
 
 
 def save_checkpoint(path, model: Model, norm_stats: NormStats, gmm: GmmParams | None = None) -> None:
-    """Write a GMGC file.  A file already at ``path`` is replaced only
-    once the new one is complete; if writing fails it is left as it was."""
+    """Write a GMGC file, each array in the dtype the model holds it in;
+    an array already in that dtype is written from its own memory, not
+    a copy.  A file already at ``path`` is replaced only once the new
+    one is complete; if writing fails it is left as it was."""
     arrays = list(_named_arrays(model, norm_stats, gmm))
     blob = _config_text(model).encode("utf-8")
     with replace_on_success(path) as fh:
@@ -321,30 +311,35 @@ def save_checkpoint(path, model: Model, norm_stats: NormStats, gmm: GmmParams | 
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays:
             encoded = name.encode("utf-8")
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            arr = np.ascontiguousarray(arr, _network_dtype(name, model.encoder.dtype).newbyteorder("<"))
+            fh.write(struct.pack("<H", len(encoded)) + encoded)
+            fh.write(struct.pack(f"<BB{arr.ndim}I", arr.itemsize, arr.ndim, *arr.shape))
             fh.write(arr)
 
 
-def _array(path, arrays: dict, name: str) -> np.ndarray:
-    try:
-        return arrays[name]
-    except KeyError:
-        raise FormatError(f"{path}: checkpoint is missing array {name!r}") from None
+def _array(path, arrays: dict, name: str, dtype, shape=None) -> np.ndarray:
+    # Take array ``name`` out of ``arrays``.  It must be in the dtype a
+    # model of ``dtype`` holds it in, and of ``shape`` if one is given.
+    arr = arrays.pop(name, None)
+    if arr is None:
+        raise FormatError(f"{path}: checkpoint is missing array {name!r}")
+    want = _network_dtype(name, dtype)
+    if arr.dtype != want:
+        raise FormatError(f"{path}: array {name!r} is {arr.dtype}; a {np.dtype(dtype)} model holds it as {want}")
+    if shape is not None and arr.shape != shape:
+        raise FormatError(f"{path}: array {name!r} has shape {arr.shape}, the arch needs {shape}")
+    return arr
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse a GMGC file into a model of the default dtype.  Raises
-    FormatError on any structural problem, a config that fails
-    ``ArchConfig.validate``, an array of more than 3 dims or with a dim
-    of 0, a missing network or norm array, an array value that is not
-    finite in the dtype it is loaded as (so a float32 network's value
-    above float32's range too), norm arrays that are not two per-band
-    vectors of one length with a positive std, or a mixture whose shapes
-    do not match the arch's n_components and latent_dim."""
+    """Parse a GMGC file into the model it was saved from, float32 or
+    float64, bitwise.  Raises FormatError on any structural problem, a
+    version other than 2, a config that fails ``ArchConfig.validate``,
+    an array of other than 4 or 8 bytes per value, more than 3 dims or
+    a dim of 0, a name given twice or that the arch does not use, a
+    missing network or norm array, an array not in its dtype or shape
+    in the saved model, a value that is not finite, or norm arrays that
+    are not two per-band vectors of one length with a positive std."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -375,39 +370,43 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", blob, take(2))
         name = text(name_len)
-        (ndim,) = struct.unpack_from("<B", blob, take(1))
+        if name in arrays:
+            raise FormatError(f"{path}: array {name!r} appears twice")
+        size, ndim = struct.unpack_from("<BB", blob, take(2))
+        if size not in (4, 8):
+            raise FormatError(f"{path}: array {name!r} has {size} bytes per value; 4 or 8")
         dims = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim))
         if ndim > 3 or 0 in dims:
             raise FormatError(f"{path}: array {name!r} has dims {dims}; at most 3, none of them 0")
         n = math.prod(dims)
-        view = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).reshape(dims)
-        # The one copy: a value too large for float32 becomes inf here,
-        # and the finiteness check below rejects it.
-        with np.errstate(over="ignore"):
-            arr = view.astype(_network_dtype(name.partition(".")[0], DEFAULT_DTYPE))
+        # The one copy, aligned and in native byte order: names have odd
+        # lengths, so a view into the file would be unaligned.
+        view = np.frombuffer(blob, dtype=f"<f{size}", count=n, offset=take(size * n)).reshape(dims)
+        arr = view.astype(f"f{size}")
         if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: array {name!r} has values that are not finite as {arr.dtype}")
+            raise FormatError(f"{path}: array {name!r} has values that are not finite")
         arrays[name] = arr
     if pos != len(blob):
         raise FormatError(f"{path}: trailing bytes after checkpoint payload")
 
+    # The model's dtype is its encoder's; the first layer taken reports a missing one.
+    dtype = arrays["encoder.w0"].dtype if "encoder.w0" in arrays else DEFAULT_DTYPE
+
     def layer(name, i, fan_in, fan_out):
-        w, b = _array(path, arrays, f"{name}.w{i}"), _array(path, arrays, f"{name}.b{i}")
-        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise FormatError(f"{path}: array shape mismatch for {name} layer {i}")
-        return w, b
+        return (_array(path, arrays, f"{name}.w{i}", dtype, (fan_in, fan_out)),
+                _array(path, arrays, f"{name}.b{i}", dtype, (fan_out,)))
 
     model = _build_model(arch, seed, layer)
 
-    stats = NormStats(mean=_array(path, arrays, "norm.mean"), std=_array(path, arrays, "norm.std"))
+    stats = NormStats(mean=_array(path, arrays, "norm.mean", dtype), std=_array(path, arrays, "norm.std", dtype))
     if stats.mean.ndim != 1 or stats.mean.shape != stats.std.shape or not np.all(stats.std > 0.0):
         raise FormatError(f"{path}: norm.mean and norm.std must be one length per band, the std positive")
     gmm = None
     if "gmm.alpha" in arrays:
         k, d = arch.n_components, arch.latent_dim
-        expected = {"gmm.alpha": (k,), "gmm.mu": (k, d), "gmm.sigma": (k, d, d)}
-        for name, shape in expected.items():
-            if _array(path, arrays, name).shape != shape:
-                raise FormatError(f"{path}: {name} has shape {arrays[name].shape}, the arch needs {shape}")
-        gmm = GmmParams.from_arrays(*(arrays[name] for name in expected))
+        gmm = GmmParams.from_arrays(_array(path, arrays, "gmm.alpha", dtype, (k,)),
+                                    _array(path, arrays, "gmm.mu", dtype, (k, d)),
+                                    _array(path, arrays, "gmm.sigma", dtype, (k, d, d)))
+    if arrays:
+        raise FormatError(f"{path}: checkpoint has arrays the arch does not use: {sorted(arrays)}")
     return Checkpoint(model=model, norm_stats=stats, gmm=gmm)

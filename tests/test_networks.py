@@ -1,6 +1,8 @@
 """Network shape contracts, determinism, init, checkpoint round-trip."""
 
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,8 +93,8 @@ class TestForwardContracts:
         z = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
         out = nets.decode(model, z)
         (tanh_out,) = out._parents
-        scale = np.float32(SMALL.output_scale)
-        h = nets.Mlp("decoder", dec.weights, dec.biases, dec.hidden, "linear", dec.leaky_slope).forward(z).data
+        scale = np.float32(nets.OUTPUT_SCALE)
+        h = nets.Mlp("decoder", dec.weights, dec.biases, dec.hidden, "linear").forward(z).data
         assert out.data.dtype == np.float32
         assert out.data.tobytes() == (np.tanh(h) * scale).tobytes()
         c = rng.standard_normal(out.shape).astype(np.float32)
@@ -103,7 +105,7 @@ class TestForwardContracts:
         model = small_model(2)
         z = Tensor(np.random.default_rng(2).standard_normal((9, 4)) * 50)
         out = nets.decode(model, z)
-        assert np.all(np.abs(out.data) <= SMALL.output_scale)
+        assert np.all(np.abs(out.data) <= nets.OUTPUT_SCALE)
 
 
 class TestDiscriminator:
@@ -179,18 +181,10 @@ class TestArchValidation:
         dict(encoder_widths=(0,)),
         dict(discriminator_widths=(8, -1)),
         dict(estimator_widths=(0,)),
-        dict(leaky_slope=float("nan")),
-        dict(leaky_slope=float("inf")),
-        dict(output_scale=-1.0),
-        dict(output_scale=0.0),
-        dict(output_scale=float("nan")),
-        dict(output_scale=float("inf")),
         dict(latent_dim=2.5),
         dict(encoder_widths=(8.0,)),
         dict(n_components=3.0),
         dict(input_dim="256"),
-        dict(leaky_slope="0.2"),
-        dict(output_scale=None),
         dict(encoder_widths=[6]),
         dict(discriminator_widths=[8, 4]),
         dict(estimator_widths=[]),
@@ -198,8 +192,6 @@ class TestArchValidation:
         dict(input_dim=True),
         dict(latent_dim=True),
         dict(estimator_widths=(True,)),
-        dict(leaky_slope=False),
-        dict(output_scale=True),
     ])
     def test_invalid_arch_rejected(self, bad):
         with pytest.raises(InvalidConfigError):
@@ -266,9 +258,7 @@ class TestCheckpoint:
             b"estimator_widths=6\n"
             b"input_dim=36\n"
             b"latent_dim=4\n"
-            b"leaky_slope=0.2\n"
             b"n_components=3\n"
-            b"output_scale=4.0\n"
             b"init_seed=31\n"
         )
 
@@ -288,7 +278,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("old, new", [
         (b"latent_dim=4", b"latent_dim=x"),
         (b"init_seed=31", b"init_seed=z1"),
-        (b"leaky_slope=0.2", b"leaky_slope=0.x"),
+        (b"n_components=3", b"n_components=3.0"),
         (b"encoder_widths=16,8", b"encoder_widths=16;8"),
         (b"latent_dim=4", b"latent_dim=0"),     # parses, but fails ArchConfig.validate
     ])
@@ -310,23 +300,49 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="decoder.w1"):
             nets.load_checkpoint(p)
 
-    def test_value_beyond_float32_range_is_format_error(self, tmp_path):
-        # Finite as float64, but the loaded model holds the decoder in float32.
-        model = nets.init_model(SMALL, 4, dtype=np.float64)
-        model.decoder.weights[1].data[2, 3] = 1e39
-        p = tmp_path / "big.gmgc"
-        nets.save_checkpoint(p, model, self._stats())
-        with pytest.raises(FormatError, match="decoder.w1"):
-            nets.load_checkpoint(p)
-
     def test_loaded_arrays_have_their_network_dtype(self, tmp_path):
+        # A float32 and a float64 model each come back in their own
+        # dtype, bitwise.
         stats, gmm = self._stats_and_gmm()
         p = tmp_path / "dtypes.gmgc"
-        nets.save_checkpoint(p, nets.init_model(SMALL, 4, dtype=np.float64), stats, gmm)
-        ckpt = nets.load_checkpoint(p)
-        assert [ckpt.model.network(name).dtype for name in nets.NETWORK_NAMES] == [np.float32] * 4 + [np.float64]
-        assert ckpt.norm_stats.mean.dtype == np.float64
-        assert all(a.dtype == np.float64 for a in ckpt.gmm.as_arrays())
+        for dtype in (np.float32, np.float64):
+            model = nets.init_model(SMALL, 4, dtype=dtype)
+            nets.save_checkpoint(p, model, stats, gmm)
+            ckpt = nets.load_checkpoint(p)
+            assert [ckpt.model.network(name).dtype for name in nets.NETWORK_NAMES] == [dtype] * 4 + [np.float64]
+            for pa, pb in zip(model.all_parameters(), ckpt.model.all_parameters()):
+                assert pa.data.dtype == pb.data.dtype and pa.data.tobytes() == pb.data.tobytes()
+            assert ckpt.norm_stats.mean.dtype == ckpt.norm_stats.std.dtype == np.float64
+            assert all(a.dtype == np.float64 for a in ckpt.gmm.as_arrays())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_file_holds_the_models_bytes(self, tmp_path, dtype):
+        # Headers, then each array in the dtype the model holds it in.
+        model = nets.init_model(SMALL, 4, dtype=dtype)
+        stats, gmm = self._stats_and_gmm()
+        p = tmp_path / "size.gmgc"
+        nets.save_checkpoint(p, model, stats, gmm)
+        (config_len,) = struct.unpack_from("<I", p.read_bytes(), 8)
+        records = sum(2 + len(name) + 2 + 4 * arr.ndim + arr.nbytes
+                      for name, arr in nets._named_arrays(model, stats, gmm))
+        assert p.stat().st_size == 16 + config_len + records
+
+    def test_save_copies_no_array(self, tmp_path):
+        # The largest array is 1 MiB of float32; writing it from its own
+        # memory allocates nothing of its size.
+        arch = nets.ArchConfig(input_dim=4096, latent_dim=4, n_components=3, encoder_widths=(64,),
+                               discriminator_widths=(8,), estimator_widths=(6,))
+        model = nets.init_model(arch, 0)
+        stats = NormStats(mean=np.zeros(64), std=np.ones(64))
+        p = tmp_path / "big.gmgc"
+        nets.save_checkpoint(p, model, stats)      # first-call allocations, untraced
+        tracemalloc.start()
+        try:
+            nets.save_checkpoint(p, model, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.encoder.weights[0].data.nbytes // 16, peak
 
     @pytest.mark.parametrize("std", [0.0, -1.0, np.nan, np.inf])
     def test_norm_std_not_positive_is_format_error(self, tmp_path, std):
@@ -378,9 +394,9 @@ class TestCheckpoint:
         p = tmp_path / "huge.gmgc"
         p.write_bytes(
             nets.CHECKPOINT_MAGIC + struct.pack("<III", nets.CHECKPOINT_VERSION, 0, 1)
-            + struct.pack("<H", 1) + b"x" + struct.pack("<B3I", 3, *[0xFFFFFFFF] * 3)
+            + struct.pack("<H", 1) + b"x" + struct.pack("<BB3I", 8, 3, *[0xFFFFFFFF] * 3)
         )
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="truncated"):
             nets.load_checkpoint(p)
 
     # numpy refuses both shapes, so the loader must check them itself.
@@ -389,17 +405,83 @@ class TestCheckpoint:
         p = tmp_path / "dims.gmgc"
         p.write_bytes(
             nets.CHECKPOINT_MAGIC + struct.pack("<III", nets.CHECKPOINT_VERSION, 0, 1)
-            + struct.pack("<H", 1) + b"x" + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+            + struct.pack("<H", 1) + b"x" + struct.pack(f"<BB{len(dims)}I", 8, len(dims), *dims)
             + struct.pack("<d", 1.0) * (0 not in dims)
         )
         with pytest.raises(FormatError, match="has dims"):
+            nets.load_checkpoint(p)
+
+    def _saved(self, tmp_path, model=None):
+        p = tmp_path / "model.gmgc"
+        nets.save_checkpoint(p, model or small_model(4), *self._stats_and_gmm())
+        return p, p.read_bytes()
+
+    @staticmethod
+    def _with_records(blob, *records):
+        # ``blob`` with (name, array) records appended and counted, as float64.
+        (config_len,) = struct.unpack_from("<I", blob, 8)
+        at = 12 + config_len
+        (count,) = struct.unpack_from("<I", blob, at)
+        tail = b""
+        for name, arr in records:
+            tail += struct.pack("<H", len(name)) + name.encode() + struct.pack(
+                f"<BB{arr.ndim}I", 8, arr.ndim, *arr.shape) + arr.astype("<f8").tobytes()
+        return blob[:at] + struct.pack("<I", count + len(records)) + blob[at + 4:] + tail
+
+    def test_version_1_is_format_error(self, tmp_path):
+        p, blob = self._saved(tmp_path)
+        p.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+            nets.load_checkpoint(p)
+
+    @pytest.mark.parametrize("size", [2, 16])
+    def test_item_size_not_4_or_8_is_format_error(self, tmp_path, size):
+        p, blob = self._saved(tmp_path)
+        (config_len,) = struct.unpack_from("<I", blob, 8)
+        at = 12 + config_len + 4 + 2 + len(b"encoder.w0")   # the first record's item size
+        assert blob[at] == 4
+        p.write_bytes(blob[:at] + bytes([size]) + blob[at + 1:])
+        with pytest.raises(FormatError, match=f"'encoder.w0' has {size} bytes per value"):
+            nets.load_checkpoint(p)
+
+    @pytest.mark.parametrize("name, dtype", [("estimator.w0", np.float32), ("decoder.w1", np.float64)])
+    def test_array_not_in_its_network_dtype_is_format_error(self, tmp_path, monkeypatch, name, dtype):
+        # Written by a writer that stores this one array in another dtype
+        # than a float32 model holds it in.
+        network_dtype = nets._network_dtype
+        monkeypatch.setattr(nets, "_network_dtype",
+                            lambda n, d: np.dtype(dtype) if n == name else network_dtype(n, d))
+        p, _ = self._saved(tmp_path)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match=f"'{name}' is {np.dtype(dtype)}; a float32 model"):
+            nets.load_checkpoint(p)
+
+    def test_repeated_array_is_format_error(self, tmp_path):
+        p, blob = self._saved(tmp_path)
+        p.write_bytes(self._with_records(blob, ("norm.mean", np.full(6, 7.0))))
+        with pytest.raises(FormatError, match="'norm.mean' appears twice"):
+            nets.load_checkpoint(p)
+
+    @pytest.mark.parametrize("names", [("encoder.w9",), ("junk",), ("encoder.w9", "junk")], ids="+".join)
+    def test_array_the_arch_does_not_use_is_format_error(self, tmp_path, names):
+        p, blob = self._saved(tmp_path)
+        p.write_bytes(self._with_records(blob, *((name, np.ones((2, 3))) for name in names)))
+        with pytest.raises(FormatError, match=re.escape(f"does not use: {sorted(names)}")):
+            nets.load_checkpoint(p)
+
+    def test_mixture_part_without_weights_is_format_error(self, tmp_path, monkeypatch):
+        named_arrays = nets._named_arrays
+        monkeypatch.setattr(nets, "_named_arrays", lambda *args: (
+            (name, arr) for name, arr in named_arrays(*args) if name != "gmm.alpha"))
+        p, _ = self._saved(tmp_path)
+        with pytest.raises(FormatError, match=r"does not use: \['gmm.mu', 'gmm.sigma'\]"):
             nets.load_checkpoint(p)
 
     def test_layer_shape_mismatch_is_format_error(self, tmp_path):
         p = tmp_path / "shape.gmgc"
         nets.save_checkpoint(p, small_model(4), self._stats())
         p.write_bytes(p.read_bytes().replace(b"latent_dim=4", b"latent_dim=5"))
-        with pytest.raises(FormatError, match="shape mismatch"):
+        with pytest.raises(FormatError, match=r"'encoder.w2' has shape \(8, 4\), the arch needs \(8, 5\)"):
             nets.load_checkpoint(p)
 
     @pytest.mark.parametrize("k, d", [(3, 3), (2, 4), (4, 4)])

@@ -41,8 +41,6 @@ NO_CALLER_YET = {
 UNSET_FIELDS = {
     "weights": "the planned loss ablation sets each weight to 0",
     "checkpoint_every": "a deployment setting: how many steps an abort may lose",
-    "leaky_slope": "written in every GMGC v1 config block; dropping it changes the format",
-    "output_scale": "written in every GMGC v1 config block; dropping it changes the format",
 }
 
 

@@ -705,10 +705,8 @@ class TestFit:
     def test_rejects_invalid_arch_before_any_state(self, tmp_path):
         metrics = tmp_path / "metrics.csv"
         for bad in (dict(latent_dim=0), dict(latent_dim=2.5), dict(encoder_widths=(8.0,)),
-                    dict(n_components=3.0), dict(input_dim="256"), dict(leaky_slope="0.2"),
-                    dict(output_scale=None), dict(encoder_widths=[32, 16]),
-                    dict(estimator_widths=[8]), dict(latent_dim=True), dict(output_scale=True),
-                    dict(estimator_widths=(True,)), dict(leaky_slope=False)):
+                    dict(n_components=3.0), dict(input_dim="256"), dict(encoder_widths=[32, 16]),
+                    dict(estimator_widths=[8]), dict(latent_dim=True), dict(estimator_widths=(True,))):
             arch = nets.ArchConfig(**{**dict(input_dim=256), **bad})
             with pytest.raises(InvalidConfigError, match=next(iter(bad))):
                 tr.fit(TINY_CONFIG, arch, tiny_data(), metrics_path=metrics)
