@@ -29,11 +29,12 @@ computes in its operands' dtype, and each cotangent has its node's
 dtype: ``_accum_cot`` refuses one of another dtype, so only ``cast``'s
 backward converts.  The batched mixture ops (``mixture_moments``,
 ``gaussian_log_densities``, ``mixture_energy``) take float64 operands
-only.  A Python float is a constant, never an operand: a ``dense``
-slope, a clamp, a ``weighted_sum`` weight.  Every op that reduces to a
-scalar (``tensor_sum``, the distances, ``binary_cross_entropy`` and
-``inverse_diagonal_sum``) accumulates in float64, so every loss, a
-``weighted_sum`` of such scalars, is a float64 scalar.
+only.  A Python float is a constant, never an operand: a ``weighted_sum``
+weight, a covariance floor, or one of the module constants below, which
+no caller varies.  Every op that reduces to a scalar (``tensor_sum``,
+the distances, ``binary_cross_entropy`` and ``inverse_diagonal_sum``)
+accumulates in float64, so every loss, a ``weighted_sum`` of such
+scalars, is a float64 scalar.
 
 Shapes are strict too: elementwise operands share one shape, and
 nothing broadcasts implicitly.  Everything else is a named structured
@@ -68,6 +69,13 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 _node_ids = itertools.count()
+
+# leaky_relu's slope below zero, as in DCGAN (Radford et al., arXiv 1511.06434).
+LEAKY_SLOPE = 0.2
+# binary_cross_entropy's clamp, which keeps the loss finite for saturated probabilities.
+PROB_CLAMP = 1e-7
+# mixture_moments resets a component of less mass to the batch mean: one dead slot cannot abort training.
+DEGENERATE_MASS = 1e-12
 
 
 class Tensor:
@@ -164,9 +172,10 @@ def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
             grads[node.node_id] = g
         if node._backward_fn is not None:
             node._backward_fn(g)
-    # Cotangents are shared and viewed freely during the pass; what is
-    # handed out is fresh and pairwise non-aliasing, because a caller
-    # (the optimizer) writes into it.
+    # Cotangents are shared and viewed freely during the pass: gamma's may
+    # be a read-only broadcast view (``mixture_moments``), and two ``wrt``
+    # entries may name one node.  Callers own what they receive, so it is
+    # handed out fresh and pairwise non-aliasing.
     out: list[np.ndarray] = []
     handed_out: set[int] = set()
     for t in wrt:
@@ -338,18 +347,17 @@ def l2_distance(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def binary_cross_entropy(p: Tensor, label: int, clamp: float) -> Tensor:
+def binary_cross_entropy(p: Tensor, label: int) -> Tensor:
     """Mean over every entry of -log q, accumulated in float64, where q
     is p (label 1) or 1 - p (label 0) after p is clamped to
-    [clamp, 1 - clamp] in its own dtype.
+    [PROB_CLAMP, 1 - PROB_CLAMP] in its own dtype.
 
     The clamp keeps the loss finite for saturated probabilities.  Its
-    subgradient is 0 outside the open interval (clamp, 1 - clamp), and
-    at its ends too.
+    subgradient is 0 outside the open interval, and at its ends too.
     """
     if label not in (0, 1):
         raise ValueError(f"binary_cross_entropy: label must be 0 or 1, got {label!r}")
-    clamped = np.clip(p.data, clamp, 1.0 - clamp)
+    clamped = np.clip(p.data, PROB_CLAMP, 1.0 - PROB_CLAMP)
     q = clamped if label == 1 else 1.0 - clamped
     out = Tensor(-np.log(q).mean(dtype=np.float64), _parents=(p,), _op="binary_cross_entropy")
 
@@ -358,7 +366,7 @@ def binary_cross_entropy(p: Tensor, label: int, clamp: float) -> Tensor:
             cot = np.asarray(-g / q.size, dtype=q.dtype) / q
             if label == 0:
                 cot = -cot
-            p._accum_cot(cot * ((p.data > clamp) & (p.data < 1.0 - clamp)))
+            p._accum_cot(cot * ((p.data > PROB_CLAMP) & (p.data < 1.0 - PROB_CLAMP)))
 
     out._backward_fn = bwd
     return out
@@ -381,31 +389,30 @@ def _sigmoid_in_place(h: np.ndarray) -> None:
     np.divide(e, denom, out=h, where=~pos)
 
 
-def _leaky_factor(mask: np.ndarray, slope: float, dtype) -> np.ndarray:
-    # 1 where mask, slope elsewhere, as 0·slope + 1 and 1·slope + 0: a
-    # product and a sum per element, where a masked multiply or np.where
-    # branches on every one.
+def _leaky_factor(mask: np.ndarray, dtype) -> np.ndarray:
+    # 1 where mask, LEAKY_SLOPE elsewhere, as 0·slope + 1 and 1·slope +
+    # 0: a product and a sum per element, where a masked multiply or
+    # np.where branches on every one.
     f = (~mask).astype(dtype)
-    f *= slope
+    f *= LEAKY_SLOPE
     f += mask
     return f
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: float = 0.2) -> Tensor:
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear") -> Tensor:
     """One fully connected layer, act(x @ w + b), as one node: input
     [n x k], weights [k x m], bias [m], output [n x m].
 
-    ``activation`` is one of ``ACTIVATIONS``; ``slope`` is leaky_relu's
-    slope below zero, whose subgradient at 0 it also is.  The bias and
-    the activation run in place in the product, in the operands' one
-    dtype.  Backward: with gh the cotangent through the activation,
-    dx = gh wᵀ, dw = xᵀ gh and db = Σ_rows gh.
+    ``activation`` is one of ``ACTIVATIONS``.  leaky_relu's slope below
+    zero is ``LEAKY_SLOPE``, which is also its subgradient at 0.  The
+    bias and the activation run in place in the product, in the
+    operands' one dtype.  Backward: with gh the cotangent through the
+    activation, dx = gh wᵀ, dw = xᵀ gh and db = Σ_rows gh.
 
     leaky_relu multiplies by a factor built branch-free from the sign
-    mask, exactly 1 where the pre-activation is positive and the slope
-    in the operands' dtype elsewhere, so its values and cotangents are
-    bitwise a branchy select's for every slope finite in that dtype
-    (but -0.0, which acts as +0.0).
+    mask, exactly 1 where the pre-activation is positive and
+    ``LEAKY_SLOPE`` in the operands' dtype elsewhere, so its values and
+    cotangents are bitwise a branchy select's.
     The node keeps the one-byte mask and rebuilds the factor in the
     backward: a kept factor would hold a second output-sized array for
     as long as the graph lives.
@@ -424,7 +431,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: fl
             raise NumericError("non-finite values produced by 'dense' before its activation")
         if activation == "leaky_relu":
             mask = h > 0.0
-            h *= _leaky_factor(mask, slope, h.dtype)
+            h *= _leaky_factor(mask, h.dtype)
         elif activation == "tanh":
             np.tanh(h, out=h)
         elif activation == "sigmoid":
@@ -434,7 +441,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear", slope: fl
     def bwd(g: np.ndarray) -> None:
         # h holds the activation's output; mask, the sign before it.
         if activation == "leaky_relu":
-            g = g * _leaky_factor(mask, slope, g.dtype)
+            g = g * _leaky_factor(mask, g.dtype)
         elif activation == "tanh":
             g = g * (1.0 - h * h)
         elif activation == "sigmoid":
@@ -458,8 +465,7 @@ _LOG_TWO_PI = float(np.log(2.0 * np.pi))
 _WEIGHT_FLOOR = 1e-300
 
 
-def mixture_moments(z: Tensor, gamma: Tensor, eps: float,
-                    degenerate_mass: float) -> tuple[Tensor, Tensor, Tensor]:
+def mixture_moments(z: Tensor, gamma: Tensor, eps: float) -> tuple[Tensor, Tensor, Tensor]:
     """Membership-weighted mixture weights [K], means [K x d] and
     covariances [K x d x d].
 
@@ -469,7 +475,7 @@ def mixture_moments(z: Tensor, gamma: Tensor, eps: float,
         mean_k   = Σ_i γ_ik z_i / s_k
         cov_k    = sym(Σ_i γ_ik (z_i - mean_k)(z_i - mean_k)ᵀ / s_k) + eps·I
 
-    A component with s_k < degenerate_mass gets the batch mean and
+    A component with s_k < DEGENERATE_MASS gets the batch mean and
     eps·I, and passes no gradient to gamma through them.  The covariance
     backward has no term through the mean, because
     Σ_i γ_ik (z_i - mean_k) = 0.
@@ -479,7 +485,7 @@ def mixture_moments(z: Tensor, gamma: Tensor, eps: float,
     _check_float64("mixture_moments", z, gamma)
     n, d = z.shape
     mass = gamma.data.sum(axis=0)
-    dead = mass < degenerate_mass
+    dead = mass < DEGENERATE_MASS
     inv_mass = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, mass))
     w = gamma.data * inv_mass                                # [n x K], zero columns for dead components
     mean_values = w.T @ z.data

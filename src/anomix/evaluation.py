@@ -89,28 +89,23 @@ def score_patchset(
     norm_stats: NormStats,
     mode: str = "latent",
     gmm: mx.GmmParams | None = None,
-    group_by_clip: bool = True,
 ) -> list[ScoredSample]:
-    """Score every patch; optionally group patches sharing a source id.
+    """One score per clip: the patches sharing a source id, grouped.
 
     ``norm_stats`` are the training set's statistics, from ``FitResult``
     or the checkpoint; a patch set of another band count or patch size
     than they and the model were fitted on raises InvalidInputError.
 
-    A grouped clip scores as the max of its patch scores, so an anomaly
-    anywhere in the clip flags the whole clip.  It is anomalous if any
-    of its patches is labeled so, and otherwise takes its first patch's
-    label.  Clips come in the order of their first patch.
+    A clip scores as the max of its patch scores, so an anomaly anywhere
+    in the clip flags the whole clip.  It is anomalous if any of its
+    patches is labeled so, and otherwise takes its first patch's label.
+    Clips come in the order of their first patch: with distinct source
+    ids, one row per patch in patch order.
     """
     if len(patchset) == 0:
         raise InvalidInputError("nothing to score")
     design = _design(model, patchset, norm_stats)
     scores = score_design(model, design, mode=mode, gmm=gmm)
-    if not group_by_clip:
-        return [
-            ScoredSample(sid, float(s), int(lab))
-            for sid, s, lab in zip(patchset.source_ids, scores, patchset.labels)
-        ]
     # codes[i] numbers patch i's clip in order of first appearance; a
     # stable sort puts each clip's patches together, its first one first.
     index = {sid: i for i, sid in enumerate(dict.fromkeys(patchset.source_ids))}

@@ -79,7 +79,8 @@ class NormStats:
         stored as ``dtype``.
 
         ``patches`` is one [bands x frames] patch or a stack
-        [..., bands, frames].  The mean and std are tiled to full
+        [..., bands, frames], of the statistics' band count
+        (InvalidInputError otherwise).  The mean and std are tiled to full
         [bands x frames] patches, so that each subtract and divide walks
         whole patches rather than one band's row at a time.  The patches
         are walked in blocks through a float64 scratch, and the scratch
@@ -92,6 +93,8 @@ class NormStats:
         input reports.
         """
         patches = np.asarray(patches)
+        if patches.shape[-2:-1] != self.mean.shape:
+            raise InvalidInputError(f"patches of shape {patches.shape}, not of the statistics' {len(self.mean)} bands")
         out = np.empty(patches.shape, dtype)
         rows = patches.reshape(-1, *patches.shape[-2:])
         out_rows = out.reshape(rows.shape)
@@ -123,15 +126,16 @@ class PatchSet:
         if self.patches.ndim != 3:
             raise InvalidInputError(f"patches must be [n, bands, frames], got {self.patches.shape}")
         n = len(self.patches)
-        if self.labels is None:
-            self.labels = np.full(n, LABEL_UNKNOWN, dtype=np.uint8)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
+        labels = np.full(n, LABEL_UNKNOWN) if self.labels is None else np.asarray(self.labels)
         if not self.source_ids:
             self.source_ids = [f"patch-{i:05d}" for i in range(n)]
-        if len(self.labels) != n or len(self.source_ids) != n:
+        if len(labels) != n or len(self.source_ids) != n:
             raise InvalidInputError("patches, labels and source ids must align")
-        if not np.isin(self.labels, list(LABEL_NAMES)).all():
-            raise InvalidInputError(f"label {np.setdiff1d(self.labels, list(LABEL_NAMES))[0]} is not a known label")
+        # Checked before the cast, which refuses or wraps -1 and 256 and truncates 0.5.
+        unknown = ~np.isin(labels, list(LABEL_NAMES))
+        if unknown.any():
+            raise InvalidInputError(f"label {labels[unknown][0]} is not a known label")
+        self.labels = labels.astype(np.uint8)
         if not np.isfinite(self.patches).all():
             raise NumericError("non-finite patch values")
 

@@ -30,10 +30,6 @@ from dataclasses import dataclass
 from . import autodiff as ad
 from .autodiff import Tensor
 
-# Probabilities are clamped to [1e-7, 1 - 1e-7] so the losses stay
-# finite for saturated discriminator outputs.
-PROB_CLAMP = 1e-7
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -70,13 +66,12 @@ def latent_representation_loss(z: Tensor, z_rec: Tensor) -> Tensor:
 def discriminator_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
     """Binary cross-entropy of D's probabilities, real patches labelled
     1 and reconstructions 0: -mean(log D(x)) - mean(log(1 - D(x_rec)))."""
-    return ad.weighted_sum([ad.binary_cross_entropy(d_real, 1, PROB_CLAMP),
-                            ad.binary_cross_entropy(d_fake, 0, PROB_CLAMP)], [1.0, 1.0])
+    return ad.weighted_sum([ad.binary_cross_entropy(d_real, 1), ad.binary_cross_entropy(d_fake, 0)], [1.0, 1.0])
 
 
 def generator_adversarial_loss(d_fake: Tensor) -> Tensor:
     """Non-saturating generator loss -mean(log D(x_rec))."""
-    return ad.binary_cross_entropy(d_fake, 1, PROB_CLAMP)
+    return ad.binary_cross_entropy(d_fake, 1)
 
 
 def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:

@@ -9,7 +9,8 @@ covariances [K x d x d].  Two routes compute the same mixture statistics:
   batch and the membership matrix during training.
 * ``_m_step`` is a plain-numpy classical EM M-step, written
   independently, which must agree with ``estimate_gmm`` to 1e-12 on
-  identical responsibilities (``cross_check_estimation``).
+  identical responsibilities (``cross_check_estimation``).  The two
+  share only ``autodiff.DEGENERATE_MASS`` and ``DEFAULT_COV_EPS``.
 
 Energies are computed in log space with log-sum-exp over the batched
 component log densities (``autodiff.gaussian_log_densities``), in one
@@ -33,7 +34,6 @@ from .autodiff import Tensor
 from .errors import InvalidInputError, NumericError
 
 DEFAULT_COV_EPS = 1e-6
-DEGENERATE_MASS = 1e-12
 _VALIDATE_ATOL = 1e-9       # slack of GmmParams.validate's weight-sum and symmetry checks
 
 
@@ -86,9 +86,9 @@ def estimate_gmm(z: Tensor, gamma: Tensor, eps: float = DEFAULT_COV_EPS) -> GmmP
         mean_k       = Σ_i γ_ik z_i / s_k
         covariance_k = Σ_i γ_ik (z_i - mean_k)(z_i - mean_k)ᵀ / s_k + eps·I
 
-    A component whose mass falls below 1e-12 is reset to the batch mean
-    with covariance eps·I so that one dead mixture slot cannot abort
-    training.
+    A component whose mass falls below ``autodiff.DEGENERATE_MASS`` is
+    reset to the batch mean with covariance eps·I so that one dead
+    mixture slot cannot abort training.
     """
     if z.ndim != 2 or gamma.ndim != 2 or z.shape[0] != gamma.shape[0]:
         raise InvalidInputError(f"incompatible latent/membership shapes {z.shape} and {gamma.shape}")
@@ -98,7 +98,7 @@ def estimate_gmm(z: Tensor, gamma: Tensor, eps: float = DEFAULT_COV_EPS) -> GmmP
     if eps < 0.0:
         raise InvalidInputError("covariance floor must be nonnegative")
 
-    alpha, means, covariances = ad.mixture_moments(z, gamma, eps, DEGENERATE_MASS)
+    alpha, means, covariances = ad.mixture_moments(z, gamma, eps)
     return GmmParams(alpha=alpha, means=means, covariances=covariances)
 
 
@@ -156,8 +156,8 @@ def mixture_log_pdf(z: np.ndarray, alpha: np.ndarray, means: np.ndarray, covs: n
     return m + np.log(np.exp(logs - m).sum(axis=0))
 
 
-def _m_step(z: np.ndarray, resp: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximization step: same degenerate-component rule as estimate_gmm."""
+def _m_step(z: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximization step: estimate_gmm's degenerate-component rule and default covariance floor."""
     n, d = z.shape
     k_components = resp.shape[1]
     mass = resp.sum(axis=0)
@@ -165,14 +165,14 @@ def _m_step(z: np.ndarray, resp: np.ndarray, eps: float) -> tuple[np.ndarray, np
     means = np.empty((k_components, d))
     covs = np.empty((k_components, d, d))
     for k in range(k_components):
-        if mass[k] < DEGENERATE_MASS:
+        if mass[k] < ad.DEGENERATE_MASS:
             means[k] = z.mean(axis=0)
-            covs[k] = np.eye(d) * eps
+            covs[k] = np.eye(d) * DEFAULT_COV_EPS
             continue
         means[k] = np.einsum("i,id->d", resp[:, k], z) / mass[k]
         centered = z - means[k]
         cov = np.einsum("i,id,ie->de", resp[:, k], centered, centered) / mass[k]
-        covs[k] = (cov + cov.T) / 2.0 + np.eye(d) * eps
+        covs[k] = (cov + cov.T) / 2.0 + np.eye(d) * DEFAULT_COV_EPS
     return alpha, means, covs
 
 
@@ -182,5 +182,5 @@ def cross_check_estimation(z: np.ndarray, gamma: np.ndarray) -> float:
     z = np.asarray(z, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     graph = estimate_gmm(Tensor(z), Tensor(gamma)).as_arrays()
-    oracle = _m_step(z, gamma, DEFAULT_COV_EPS)
+    oracle = _m_step(z, gamma)
     return max(float(np.max(np.abs(g - e))) for g, e in zip(graph, oracle))

@@ -66,8 +66,6 @@ NETWORK_NAMES = ("encoder", "decoder", "aux_encoder", "discriminator", "estimato
 # Compute dtype of the four big networks in a new model.
 DEFAULT_DTYPE = np.float32
 
-# leaky_relu's slope below zero in the hidden layers, as in DCGAN.
-LEAKY_SLOPE = 0.2
 # The decoder's tanh output times this covers 4 std units either side
 # of a band's training mean; a reconstruction clips beyond.
 OUTPUT_SCALE = 4.0
@@ -76,8 +74,9 @@ OUTPUT_SCALE = 4.0
 @dataclass(frozen=True)
 class ArchConfig:
     """Layer widths for every network; defaults fit a 64x64 patch.  The
-    activations' ``LEAKY_SLOPE`` and ``OUTPUT_SCALE`` are constants, not
-    fields: no caller has set other values."""
+    hidden layers' leaky_relu slope (``autodiff.LEAKY_SLOPE``) and the
+    decoder's ``OUTPUT_SCALE`` are constants, not fields: no caller has
+    set other values."""
 
     input_dim: int = 4096
     latent_dim: int = 8
@@ -127,7 +126,7 @@ class Mlp:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             try:
-                h = ad.dense(h, w, b, self.output if i == last else self.hidden, LEAKY_SLOPE)
+                h = ad.dense(h, w, b, self.output if i == last else self.hidden)
             except NumericError as err:
                 raise NumericError(f"{self.name} layer {i}: {err}") from err
         return h
@@ -266,21 +265,18 @@ def _named_arrays(model: Model, norm_stats: NormStats, gmm: GmmParams | None):
 _CONFIG_VALUE = {"int": int, "tuple": lambda v: tuple(int(x) for x in v.split(",") if x)}
 
 
-def _config_text(model: Model) -> str:
+def _config_text(arch: ArchConfig, seed: int) -> str:
     """The config block: ArchConfig's fields sorted by name, then init_seed."""
-    pairs = sorted((f.name, getattr(model.arch, f.name)) for f in fields(ArchConfig))
-    pairs.append(("init_seed", model.init_seed))
+    pairs = sorted((f.name, getattr(arch, f.name)) for f in fields(ArchConfig))
+    pairs.append(("init_seed", seed))
     return "".join(f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else str(v)}\n" for k, v in pairs)
 
 
 def _read_config(path, text: str) -> tuple[ArchConfig, int]:
-    """The arch and init seed of a config block; a missing key keeps its
-    default (init_seed 0)."""
+    """The arch and init seed of a config block exactly as ``_config_text`` writes them."""
     kinds = {f.name: f.type for f in fields(ArchConfig)} | {"init_seed": "int"}
-    values = {"init_seed": 0}
+    values = {}
     for line in text.splitlines():
-        if not line.strip():
-            continue
         key, _, value = line.partition("=")
         if key not in kinds:
             raise FormatError(f"{path}: unknown checkpoint config key {key!r}")
@@ -288,12 +284,14 @@ def _read_config(path, text: str) -> tuple[ArchConfig, int]:
             values[key] = _CONFIG_VALUE[kinds[key]](value)
         except ValueError as err:
             raise FormatError(f"{path}: checkpoint config {key}={value!r} is not a valid {kinds[key]}") from err
-    seed = values.pop("init_seed")
+    seed = values.pop("init_seed", -1)
     arch = ArchConfig(**values)
     try:
         arch.validate()
     except InvalidConfigError as err:
         raise FormatError(f"{path}: checkpoint config: {err}") from err
+    if seed < 0 or _config_text(arch, seed) != text:
+        raise FormatError(f"{path}: checkpoint config block {text!r} is not one the writer gives")
     return arch, seed
 
 
@@ -303,7 +301,7 @@ def save_checkpoint(path, model: Model, norm_stats: NormStats, gmm: GmmParams | 
     a copy.  A file already at ``path`` is replaced only once the new
     one is complete; if writing fails it is left as it was."""
     arrays = list(_named_arrays(model, norm_stats, gmm))
-    blob = _config_text(model).encode("utf-8")
+    blob = _config_text(model.arch, model.init_seed).encode("utf-8")
     with replace_on_success(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))

@@ -271,7 +271,6 @@ class TrainState:
     model: nets.Model
     adam_generator: AdamState
     adam_discriminator: AdamState
-    step: int = 0
 
 
 def make_train_state(arch: nets.ArchConfig, config: TrainConfig) -> TrainState:
@@ -323,7 +322,8 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     ``batch`` is a normalized [n x input_dim] design matrix with n >= 2,
     cast to the networks' dtype here.
     A zero adversarial weight disables the discriminator update entirely
-    (its loss is still evaluated for the log).
+    (its loss is still evaluated for the log).  Each call adds one to
+    ``state.adam_generator.step_count``, the steps taken so far.
     """
     if batch.ndim != 2 or batch.shape[0] < 2:
         raise InvalidInputError(f"batch must be [n>=2 x features], got {batch.shape}")
@@ -345,7 +345,6 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     grads = ad.backward(loss.total, state.adam_generator.params)
     adam_update(state.adam_generator, grads, clip_global_norm(grads, GRAD_CLIP))
 
-    state.step += 1
     return ls.LossBreakdown(
         image_reconstruction=loss.image.item(),
         adversarial_generator=loss.adversarial.item(),
@@ -427,9 +426,10 @@ def fit(
                 idx = order[s * config.batch_size:(s + 1) * config.batch_size]
                 breakdown = train_step(state, design[idx], config)
                 history.append(breakdown)
+                step = state.adam_generator.step_count
                 if writer:
-                    writer.writerow([state.step, epoch, *map(repr, astuple(breakdown))])
-                if state.step % config.checkpoint_every == 0:
+                    writer.writerow([step, epoch, *map(repr, astuple(breakdown))])
+                if step % config.checkpoint_every == 0:
                     write_checkpoint()
         final_gmm = full_dataset_mixture(state.model, design, config.cov_eps)
         final_gmm.validate()

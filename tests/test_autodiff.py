@@ -12,11 +12,11 @@ from anomix import verify
 from anomix.errors import NumericError, ShapeError
 
 
-def _activate(x, activation, slope=0.2):
+def _activate(x, activation):
     """``activation`` applied to each entry of a matrix: a ``dense``
     layer with an identity weight and a zero bias, which add nothing."""
     n = x.shape[1]
-    return ad.dense(x, ad.Tensor(np.eye(n)), ad.Tensor(np.zeros(n)), activation, slope)
+    return ad.dense(x, ad.Tensor(np.eye(n)), ad.Tensor(np.zeros(n)), activation)
 
 
 class TestElementwise:
@@ -34,7 +34,7 @@ class TestElementwise:
 
     def test_leaky_relu_values(self):
         x = ad.Tensor([[-2.0, 3.0]])
-        np.testing.assert_allclose(_activate(x, "leaky_relu", 0.2).data, [[-0.4, 3.0]])
+        np.testing.assert_allclose(_activate(x, "leaky_relu").data, [[-0.4, 3.0]])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -66,7 +66,7 @@ def _multi_operand_ops():
         "l1_distance": (ad.l1_distance, [x, y]),
         "l2_distance": (ad.l2_distance, [x, y]),
         "dense": (lambda a, w, b: ad.dense(a, w, b, "tanh"), [x, rng.standard_normal((3, 2)), np.zeros(2)]),
-        "mixture_moments": (lambda z, gamma: ad.mixture_moments(z, gamma, 1e-3, 1e-12),
+        "mixture_moments": (lambda z, gamma: ad.mixture_moments(z, gamma, 1e-3),
                             [x, g / g.sum(axis=1, keepdims=True)]),
         "gaussian_log_densities": (ad.gaussian_log_densities,
                                    [x, rng.standard_normal((2, 3)), m @ m.transpose(0, 2, 1) + np.eye(3)]),
@@ -87,11 +87,12 @@ def _sigmoid_oracle(h):
     return out
 
 
-def _numpy_dense(x, w, b, c, activation, slope):
+def _numpy_dense(x, w, b, c, activation):
     """act(x @ w + b) and the gradients (dx, dw, db) of
     sum(act(x @ w + b) * c), op by op in plain numpy."""
     h = x @ w + b[None, :]
     if activation == "leaky_relu":
+        slope = ad.LEAKY_SLOPE
         y, gh = np.where(h > 0.0, h, slope * h), np.where(h > 0.0, c, slope * c)
     elif activation == "tanh":
         y = np.tanh(h)
@@ -104,9 +105,9 @@ def _numpy_dense(x, w, b, c, activation, slope):
     return y, gh @ w.T, x.T @ gh, gh.sum(axis=0)
 
 
-def _dense_and_grads(x, w, b, c, activation, slope):
+def _dense_and_grads(x, w, b, c, activation):
     tx, tw, tb = ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)
-    y = ad.dense(tx, tw, tb, activation, slope)
+    y = ad.dense(tx, tw, tb, activation)
     return [y.data, *ad.backward(ad.tensor_sum(ad.mul(y, ad.Tensor(c))), [tx, tw, tb])]
 
 
@@ -123,22 +124,13 @@ class TestDense:
     @pytest.mark.parametrize("activation", ad.ACTIVATIONS)
     def test_value_and_cotangents_are_bitwise_the_numpy_composition(self, activation, dtype):
         operands = self._operands(dtype)
-        got = _dense_and_grads(*operands, activation, 0.2)
-        for g, want in zip(got, _numpy_dense(*operands, activation, 0.2)):
+        got = _dense_and_grads(*operands, activation)
+        for g, want in zip(got, _numpy_dense(*operands, activation)):
             assert g.dtype == dtype and g.shape == want.shape
             assert g.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("slope", [-0.5, 0.0, 2.0])
-    def test_leaky_relu_branch_is_taken_before_the_activation(self, slope):
-        # With these slopes the output's sign does not tell the branch.
-        operands = self._operands(np.float32, seed=51)
-        got = _dense_and_grads(*operands, "leaky_relu", slope)
-        for g, want in zip(got, _numpy_dense(*operands, "leaky_relu", slope)):
-            assert g.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("dtype, tiny", [(np.float32, 1e-30), (np.float64, 1e-200)])
-    @pytest.mark.parametrize("slope", [0.5, 1.0])
-    def test_leaky_relu_is_exact_at_signed_zeros(self, slope, tiny, dtype):
+    def test_leaky_relu_is_exact_at_signed_zeros(self, tiny, dtype):
         # Row 0 is zero, so columns 0 and 1 read +0 + -0 = +0.  Row 1's
         # products there underflow to -0, and a -0 bias keeps that sign
         # (an FMA kernel keeps the sign of an underflowed product).
@@ -148,8 +140,8 @@ class TestDense:
         b = np.array([-0.0, -0.0, 0.0, 0.3, -0.3], dtype=dtype)
         zeros = (x @ w + b)[:2, :2]
         assert (zeros == 0.0).all() and np.signbit(zeros[1]).all() and not np.signbit(zeros[0]).any()
-        got = _dense_and_grads(x, w, b, c, "leaky_relu", slope)
-        for g, want in zip(got, _numpy_dense(x, w, b, c, "leaky_relu", slope)):
+        got = _dense_and_grads(x, w, b, c, "leaky_relu")
+        for g, want in zip(got, _numpy_dense(x, w, b, c, "leaky_relu")):
             assert g.dtype == dtype and g.tobytes() == want.tobytes()
 
     def test_leaky_relu_node_keeps_a_mask_not_a_float_factor(self):
@@ -377,10 +369,10 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("label", [0, 1])
     def test_binary_cross_entropy_at_and_beyond_the_clamp(self, label):
-        lo, hi = 1e-7, 1.0 - 1e-7
+        lo, hi = ad.PROB_CLAMP, 1.0 - ad.PROB_CLAMP
         p = np.array([[0.0], [1e-9], [lo], [0.3], [0.5], [0.8], [hi], [1.0]])
         tp = ad.Tensor(p)
-        loss = ad.binary_cross_entropy(tp, label, lo)
+        loss = ad.binary_cross_entropy(tp, label)
         (grad,) = ad.backward(loss, [tp])
         q = np.clip(p, lo, hi)
         inside = (p > lo) & (p < hi)
@@ -393,7 +385,7 @@ class TestFusedOps:
         # At the clamp's ends and beyond it, the subgradient is 0.
         np.testing.assert_array_equal(grad[[0, 1, 2, 6, 7]], 0.0)
         with pytest.raises(ValueError):
-            ad.binary_cross_entropy(tp, 2, lo)
+            ad.binary_cross_entropy(tp, 2)
 
     def test_weighted_sum(self):
         s, t = ad.Tensor(2.0), ad.Tensor(-3.0)
@@ -458,10 +450,33 @@ class TestFusedOps:
         g = rng.uniform(0.1, 1.0, size=(5, 3))
         gamma = ad.Tensor(g / g.sum(axis=1, keepdims=True))
         c = rng.standard_normal(3)
-        weights, _, _ = ad.mixture_moments(ad.Tensor(rng.standard_normal((5, 2))), gamma, 1e-3, 1e-12)
+        weights, _, _ = ad.mixture_moments(ad.Tensor(rng.standard_normal((5, 2))), gamma, 1e-3)
         (grad,) = ad.backward(ad.tensor_sum(ad.mul(weights, ad.Tensor(c))), [gamma])
         np.testing.assert_allclose(weights.data, gamma.data.sum(axis=0) / 5, rtol=1e-15)
         np.testing.assert_allclose(grad, np.tile(c / 5, (5, 1)), rtol=1e-15)
+
+
+def _moments_with_a_light_component():
+    # Component 2 holds mass 1e-13, all on sample 0: at DEGENERATE_MASS
+    # it is reset to the batch mean, above it its mean is sample 0.
+    z = ad.Tensor(np.random.default_rng(65).standard_normal((5, 2)))
+    gamma = ad.Tensor(np.array([[0.5, 0.5 - 1e-13, 1e-13]] + [[0.5, 0.5, 0.0]] * 4))
+    return ad.mixture_moments(z, gamma, 1e-3)
+
+
+@pytest.mark.parametrize("name, value, op", [
+    pytest.param("LEAKY_SLOPE", 0.1, lambda: [_activate(ad.Tensor([[-2.0]]), "leaky_relu")], id="LEAKY_SLOPE"),
+    pytest.param("PROB_CLAMP", 1e-3, lambda: [ad.binary_cross_entropy(ad.Tensor([[0.0]]), 1)], id="PROB_CLAMP"),
+    pytest.param("DEGENERATE_MASS", 1e-14, _moments_with_a_light_component, id="DEGENERATE_MASS"),
+])
+def test_each_autodiff_constant_reaches_its_op(name, value, op, monkeypatch):
+    # Each op on an input where its constant decides the output.
+    def output():
+        return b"".join(t.data.tobytes() for t in op())
+
+    base = output()
+    monkeypatch.setattr(ad, name, value)
+    assert output() != base
 
 
 class TestGraph:
@@ -567,7 +582,7 @@ class TestGradientOwnership:
         g = rng.uniform(0.1, 1.0, size=(5, 3))
         gamma = ad.Tensor(g / g.sum(axis=1, keepdims=True))
         c, w2 = rng.standard_normal(3), ad.Tensor(rng.standard_normal((5, 3)))
-        weights, _, _ = ad.mixture_moments(ad.Tensor(rng.standard_normal((5, 2))), gamma, 1e-3, 1e-12)
+        weights, _, _ = ad.mixture_moments(ad.Tensor(rng.standard_normal((5, 2))), gamma, 1e-3)
         loss = ad.weighted_sum([ad.tensor_sum(ad.mul(weights, ad.Tensor(c))),
                                 ad.tensor_sum(ad.mul(gamma, w2))], [1.0, 1.0])
         (grad,) = ad.backward(loss, [gamma])
@@ -586,7 +601,7 @@ class TestGradientOwnership:
         z = ad.Tensor(rng.standard_normal((5, 2)))
         g = rng.uniform(0.1, 1.0, size=(5, 3))
         gamma = ad.Tensor(g / g.sum(axis=1, keepdims=True))
-        _, _, covs = ad.mixture_moments(z, gamma, 1e-3, 1e-12)
+        _, _, covs = ad.mixture_moments(z, gamma, 1e-3)
         loss = ad.tensor_sum(ad.mul(covs, ad.Tensor(rng.standard_normal((3, 2, 2)))))
         _assert_gradients_owned(loss, [gamma])
         _assert_gradients_owned(loss, [covs, gamma, z])

@@ -121,6 +121,14 @@ class TestAuc:
         assert all(x1 >= x0 and y1 >= y0 for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
+def per_patch_scores(model, data, stats, mode="latent", gmm=None):
+    """Each patch's score from ``score_design`` on the normalized design,
+    as a sample of the patch's own id and label."""
+    design = stats.apply(data.patches, model.encoder.dtype).reshape(len(data), -1)
+    scores = ev.score_design(model, design, mode, gmm)
+    return [ev.ScoredSample(sid, float(s), int(lab)) for sid, s, lab in zip(data.source_ids, scores, data.labels)]
+
+
 def group_by_clip_oracle(per_patch):
     """The per-clip loop: clips in order of first appearance, max patch
     score, anomalous if any patch is and else the first patch's label."""
@@ -149,7 +157,7 @@ class TestScoring:
 
     def test_scores_nonnegative(self):
         model, data, stats = self._model_and_data()
-        samples = ev.score_patchset(model, data, stats, group_by_clip=False)
+        samples = ev.score_patchset(model, data, stats)
         assert all(s.score >= 0.0 for s in samples)
 
     def test_latent_identity_roundtrip_scores_zero(self):
@@ -161,16 +169,13 @@ class TestScoring:
             for w, b in zip(net.weights, net.biases):
                 w.data[...] = 0.0
                 b.data[...] = 0.0
-        samples = ev.score_patchset(model, data, stats, group_by_clip=False)
+        samples = ev.score_patchset(model, data, stats)
         assert all(s.score == 0.0 for s in samples)
 
     def test_single_patch_clip_equals_patch_score(self):
         model, data, stats = self._model_and_data()
-        per_patch = ev.score_patchset(model, data, stats, group_by_clip=False)
-        per_clip = ev.score_patchset(model, data, stats, group_by_clip=True)
-        assert len(per_clip) == len(per_patch)  # synthetic ids are unique
-        for a, b in zip(per_patch, per_clip):
-            assert a.score == b.score
+        assert len(set(data.source_ids)) == len(data)   # synthetic ids are unique
+        assert ev.score_patchset(model, data, stats) == per_patch_scores(model, data, stats)
 
     def test_grouping_aggregates_by_source_id(self):
         model, data, stats = self._model_and_data()
@@ -179,8 +184,8 @@ class TestScoring:
             source_ids=["clip-a"] * 9 + ["clip-b"] * 9,
             labels=data.labels,
         )
-        per_patch = ev.score_patchset(model, data, stats, group_by_clip=False)
-        grouped = ev.score_patchset(model, data, stats, group_by_clip=True)
+        per_patch = per_patch_scores(model, data, stats)
+        grouped = ev.score_patchset(model, data, stats)
         assert [g.source_id for g in grouped] == ["clip-a", "clip-b"]
         assert grouped[0].score == max(s.score for s in per_patch[:9])
         assert grouped[1].score == max(s.score for s in per_patch[9:])
@@ -198,7 +203,7 @@ class TestScoring:
             labels=rng.choice([LABEL_NORMAL, LABEL_ANOMALOUS, LABEL_UNKNOWN], len(data), p=[0.6, 0.1, 0.3]),
         )
         gmm = mx.GmmParams.from_arrays(np.full(2, 0.5), np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
-        per_patch = ev.score_patchset(model, data, stats, mode=mode, gmm=gmm, group_by_clip=False)
+        per_patch = per_patch_scores(model, data, stats, mode, gmm)
         assert ev.score_patchset(model, data, stats, mode=mode, gmm=gmm) == group_by_clip_oracle(per_patch)
 
     @pytest.mark.parametrize("seed", range(3))

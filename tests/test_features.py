@@ -1,5 +1,6 @@
 """WAV decoding, spectrogram pipeline, normalization, patch sets, synthetic data."""
 
+import re
 import struct
 import tracemalloc
 
@@ -325,6 +326,13 @@ class TestNormalization:
         got = stats.apply(patches, np.float32)
         assert got.dtype == np.float32 and got.tobytes() == want.astype(np.float32).tobytes()
 
+    @pytest.mark.parametrize("shape", [(3, 8, 6), (8, 6), (6,)])
+    def test_patches_of_another_band_count_raise_naming_both(self, shape):
+        stats = ft.NormStats(mean=np.zeros(6), std=np.ones(6))
+        message = f"patches of shape {shape}, not of the statistics' 6 bands"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            stats.apply(np.zeros(shape))
+
     def test_value_beyond_float32_range_becomes_inf(self):
         stats = ft.NormStats(mean=np.zeros(2), std=np.ones(2))
         got = stats.apply(np.array([[1e300, 1.0], [2.0, -1e300]]), np.float32)
@@ -406,11 +414,14 @@ class TestPatchContainer:
     """``PatchSet``, the in-memory patch container, holds only finite
     patches and labels that ``LABEL_NAMES`` names."""
 
-    def test_label_outside_known_values_rejected(self):
+    # Checked before the cast to uint8, which would raise numpy's
+    # OverflowError on -1 and read 0.5 and 256 as normal.
+    @pytest.mark.parametrize("bad", [7, -1, 0.5, 256])
+    def test_label_outside_known_values_rejected(self, bad):
         ps = gen_synthetic_dataset(5, 4, 0, shape=(4, 4))
-        labels = ps.labels.copy()
-        labels[2] = 7
-        with pytest.raises(InvalidInputError, match="label 7"):
+        labels = ps.labels.tolist()
+        labels[2] = bad
+        with pytest.raises(InvalidInputError, match=f"label {bad} is not"):
             ft.PatchSet(patches=ps.patches, labels=labels)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -275,21 +275,38 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             nets.load_checkpoint(p)
 
+    def _with_config(self, tmp_path, old, new):
+        # A saved file whose config block has ``old`` replaced by ``new``,
+        # its length field updated to match.
+        p = tmp_path / "cfg.gmgc"
+        nets.save_checkpoint(p, small_model(31), self._stats())
+        blob = p.read_bytes()
+        (config_len,) = struct.unpack_from("<I", blob, 8)
+        config = blob[12:12 + config_len]
+        assert old in config
+        config = config.replace(old, new)
+        p.write_bytes(blob[:8] + struct.pack("<I", len(config)) + config + blob[12 + config_len:])
+        return p
+
     @pytest.mark.parametrize("old, new", [
         (b"latent_dim=4", b"latent_dim=x"),
         (b"init_seed=31", b"init_seed=z1"),
         (b"n_components=3", b"n_components=3.0"),
         (b"encoder_widths=16,8", b"encoder_widths=16;8"),
         (b"latent_dim=4", b"latent_dim=0"),     # parses, but fails ArchConfig.validate
+        # Each of these parses to the saved arch and seed, or to a negative
+        # seed, but is not the block the writer gives.
+        (b"latent_dim=4\n", b"latent_dim=1_0\nlatent_dim=4\n"),             # repeated key, the last one right
+        (b"init_seed=31\n", b""),                                            # missing key
+        (b"input_dim=36\nlatent_dim=4\n", b"latent_dim=4\ninput_dim=36\n"),  # reordered keys
+        (b"init_seed=31", b"init_seed=3_1"),
+        (b"latent_dim=4", b"latent_dim= 4"),
+        (b"init_seed=31\n", b"init_seed=31\n\n"),
+        (b"init_seed=31", b"init_seed=-7"),
     ])
     def test_corrupt_config_value_is_format_error(self, tmp_path, old, new):
-        p = tmp_path / "cfg.gmgc"
-        nets.save_checkpoint(p, small_model(31), self._stats())
-        blob = p.read_bytes()
-        assert old in blob
-        p.write_bytes(blob.replace(old, new))
         with pytest.raises(FormatError):
-            nets.load_checkpoint(p)
+            nets.load_checkpoint(self._with_config(tmp_path, old, new))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_array_is_format_error(self, tmp_path, value):
@@ -390,11 +407,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="trailing bytes"):
             nets.load_checkpoint(p)
 
+    @staticmethod
+    def _header_of_one_array():
+        # A valid header and config block, then an array count of 1.
+        config = nets._config_text(SMALL, 0).encode()
+        return (nets.CHECKPOINT_MAGIC + struct.pack("<II", nets.CHECKPOINT_VERSION, len(config)) + config
+                + struct.pack("<I", 1))
+
     def test_huge_array_dims(self, tmp_path):
         p = tmp_path / "huge.gmgc"
         p.write_bytes(
-            nets.CHECKPOINT_MAGIC + struct.pack("<III", nets.CHECKPOINT_VERSION, 0, 1)
-            + struct.pack("<H", 1) + b"x" + struct.pack("<BB3I", 8, 3, *[0xFFFFFFFF] * 3)
+            self._header_of_one_array() + struct.pack("<H", 1) + b"x" + struct.pack("<BB3I", 8, 3, *[0xFFFFFFFF] * 3)
         )
         with pytest.raises(FormatError, match="truncated"):
             nets.load_checkpoint(p)
@@ -404,9 +427,8 @@ class TestCheckpoint:
     def test_array_dims_numpy_cannot_hold_are_format_error(self, tmp_path, dims):
         p = tmp_path / "dims.gmgc"
         p.write_bytes(
-            nets.CHECKPOINT_MAGIC + struct.pack("<III", nets.CHECKPOINT_VERSION, 0, 1)
-            + struct.pack("<H", 1) + b"x" + struct.pack(f"<BB{len(dims)}I", 8, len(dims), *dims)
-            + struct.pack("<d", 1.0) * (0 not in dims)
+            self._header_of_one_array() + struct.pack("<H", 1) + b"x"
+            + struct.pack(f"<BB{len(dims)}I", 8, len(dims), *dims) + struct.pack("<d", 1.0) * (0 not in dims)
         )
         with pytest.raises(FormatError, match="has dims"):
             nets.load_checkpoint(p)

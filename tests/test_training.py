@@ -604,7 +604,7 @@ result = tr.fit(tr.TrainConfig(epochs=1, batch_size=32, seed=3), nets.ArchConfig
                 gen_synthetic_dataset(3, 64, 0), checkpoint_path=sys.argv[1])
 test = gen_synthetic_dataset(4, 16, 16)
 scores = [s.score for mode in ev.SCORE_MODES for s in ev.score_patchset(
-    result.model, test, result.norm_stats, mode=mode, gmm=result.gmm, group_by_clip=False)]
+    result.model, test, result.norm_stats, mode=mode, gmm=result.gmm)]
 with open(sys.argv[1], "rb") as fh:
     print(hashlib.sha256(fh.read()).hexdigest(), hashlib.sha256(np.array(scores).tobytes()).hexdigest())
 """
@@ -629,6 +629,7 @@ class TestFit:
         assert rows[0] == tr.METRICS_HEADER
         assert all(len(row) == len(tr.METRICS_HEADER) for row in rows)
         assert len(rows) - 1 == len(result.history) == 2 * (64 // 16)
+        assert [int(row[0]) for row in rows[1:]] == list(range(1, len(rows)))
         for row, bd in zip(rows[1:], result.history):
             assert float(row[7]) == bd.total
 
@@ -659,7 +660,7 @@ class TestFit:
         result = tr.fit(TINY_CONFIG, TINY_ARCH, tiny_data(), checkpoint_path=path)
         ckpt = nets.load_checkpoint(path)
         test = gen_synthetic_dataset(1, 8, 8, shape=(16, 16))
-        scores = [ev.score_patchset(m, test, stats, mode=mode, gmm=gmm, group_by_clip=False)
+        scores = [ev.score_patchset(m, test, stats, mode=mode, gmm=gmm)
                   for m, stats, gmm in ((result.model, result.norm_stats, result.gmm),
                                         (ckpt.model, ckpt.norm_stats, ckpt.gmm))]
         assert [s.score for s in scores[0]] == [s.score for s in scores[1]]
@@ -740,10 +741,10 @@ class TestFit:
         after_step_4 = []
 
         def failing_step(state, batch, config):
-            if state.step == 4:
+            if state.adam_generator.step_count == 4:
                 raise NumericError("injected failure in step 5")
             breakdown = train_step(state, batch, config)
-            if state.step == 4:
+            if state.adam_generator.step_count == 4:
                 after_step_4.extend(p.data.copy() for p in state.model.all_parameters())
             return breakdown
 
@@ -778,7 +779,7 @@ def test_training_beats_untrained_model():
         test = PatchSet(patches=data.patches[256:], labels=data.labels[256:])
         for epochs in aucs:
             result = tr.fit(tr.TrainConfig(epochs=epochs, batch_size=32, seed=seed), NARROW_ARCH, train)
-            scores = ev.score_patchset(result.model, test, result.norm_stats, group_by_clip=False)
+            scores = ev.score_patchset(result.model, test, result.norm_stats)
             aucs[epochs].append(ev.auc(scores).auc)
     assert np.mean(aucs[3]) >= np.mean(aucs[0]) + 0.05, aucs
 
