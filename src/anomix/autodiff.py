@@ -409,20 +409,18 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear") -> Tensor
     operands' one dtype.  Backward: with gh the cotangent through the
     activation, dx = gh wᵀ, dw = xᵀ gh and db = Σ_rows gh.
 
-    leaky_relu multiplies by a factor built branch-free from the sign
-    mask, exactly 1 where the pre-activation is positive and
-    ``LEAKY_SLOPE`` in the operands' dtype elsewhere, so its values and
-    cotangents are bitwise a branchy select's.
-    The node keeps the one-byte mask and rebuilds the factor in the
-    backward: a kept factor would hold a second output-sized array for
-    as long as the graph lives.
+    leaky_relu's forward is max(h, ``LEAKY_SLOPE`` h) in place, and its
+    backward multiplies by a factor built branch-free from the sign of
+    the output, exactly 1 where it is positive and ``LEAKY_SLOPE`` in
+    the operands' dtype elsewhere, so its values and cotangents are
+    bitwise a branchy select's.  The node keeps no mask: the output is
+    positive exactly where the pre-activation is.
     """
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"dense: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     _check_dtypes("dense", x, w, b)
-    mask = None
     with np.errstate(over="ignore", invalid="ignore"):
         h = x.data @ w.data
         h += b.data
@@ -430,8 +428,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear") -> Tensor
         if activation in ("tanh", "sigmoid") and not np.isfinite(h).all():
             raise NumericError("non-finite values produced by 'dense' before its activation")
         if activation == "leaky_relu":
-            mask = h > 0.0
-            h *= _leaky_factor(mask, h.dtype)
+            # For a slope in (0, 1), h > slope·h exactly where h > 0, so
+            # the max picks h there and slope·h elsewhere.
+            np.maximum(h, h * LEAKY_SLOPE, out=h)
         elif activation == "tanh":
             np.tanh(h, out=h)
         elif activation == "sigmoid":
@@ -439,9 +438,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "linear") -> Tensor
     out = Tensor(h, _parents=(x, w, b), _op="dense")
 
     def bwd(g: np.ndarray) -> None:
-        # h holds the activation's output; mask, the sign before it.
+        # h holds the activation's output.
         if activation == "leaky_relu":
-            g = g * _leaky_factor(mask, g.dtype)
+            g = g * _leaky_factor(h > 0.0, g.dtype)
         elif activation == "tanh":
             g = g * (1.0 - h * h)
         elif activation == "sigmoid":

@@ -129,6 +129,8 @@ class PatchSet:
         labels = np.full(n, LABEL_UNKNOWN) if self.labels is None else np.asarray(self.labels)
         if not self.source_ids:
             self.source_ids = [f"patch-{i:05d}" for i in range(n)]
+        if labels.ndim != 1:
+            raise InvalidInputError(f"labels must be one-dimensional, got shape {labels.shape}")
         if len(labels) != n or len(self.source_ids) != n:
             raise InvalidInputError("patches, labels and source ids must align")
         # Checked before the cast, which refuses or wraps -1 and 256 and truncates 0.5.

@@ -41,18 +41,6 @@ class LossWeights:
     w_estimation: float = 0.05
 
 
-@dataclass
-class LossBreakdown:
-    """One training step's loss values, as logged to the metrics CSV."""
-
-    image_reconstruction: float
-    adversarial_generator: float
-    adversarial_discriminator: float
-    latent_reconstruction: float
-    estimation: float
-    total: float
-
-
 def image_reconstruction_loss(x: Tensor, x_rec: Tensor) -> Tensor:
     """Mean per-sample L1 distance between input and reconstruction."""
     return ad.l1_distance(x, x_rec)

@@ -108,21 +108,15 @@ def energy_batch(z: Tensor, params: GmmParams) -> Tensor:
     return ad.mixture_energy(log_densities, params.alpha)
 
 
-def estimation_loss(
-    z_batch: Tensor,
-    gamma: Tensor,
-    params: GmmParams,
-    lambda1: float,
-    lambda2: float,
-) -> Tensor:
+def estimation_loss(z_batch: Tensor, params: GmmParams, lambda1: float, lambda2: float) -> Tensor:
     """Summed batch energy plus the covariance-diagonal penalty.
 
         lambda1 · Σ_i E(z_i) + lambda2 · Σ_k Σ_j 1 / covariance_k[j, j]
 
-    ``params`` must come from ``estimate_gmm`` on the same (z_batch,
-    gamma) so that both terms stay differentiable end to end.  The
-    penalty pushes covariance diagonals away from zero; without it the
-    mixture can collapse onto single samples.
+    ``params`` must come from ``estimate_gmm`` on the same z_batch so
+    that both terms stay differentiable end to end.  The penalty pushes
+    covariance diagonals away from zero; without it the mixture can
+    collapse onto single samples.
     """
     total_energy = ad.tensor_sum(energy_batch(z_batch, params))
     penalty = ad.inverse_diagonal_sum(params.covariances)

@@ -38,11 +38,10 @@ with the same inputs produce byte-identical checkpoints.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import numbers
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +53,6 @@ from . import networks as nets
 from .autodiff import Tensor
 from .errors import DataError, InvalidConfigError, InvalidInputError, NumericError
 from .features import LABEL_ANOMALOUS, NormStats, PatchSet, compute_norm_stats
-
-METRICS_HEADER = ["step", "epoch", "l_irec", "l_adv_g", "l_adv_d", "l_zrec", "l_es", "total"]
 
 
 # Every fit's optimizer and objective.  Adam's beta1 is DCGAN's 0.5 (Radford
@@ -297,6 +294,19 @@ class GeneratorLoss(NamedTuple):
     total: Tensor
 
 
+@dataclass
+class StepRecord:
+    """One training step's losses as floats: ``GeneratorLoss``'s fields,
+    in its order, then the discriminator loss."""
+
+    image: float
+    adversarial: float
+    latent: float
+    estimation: float
+    total: float
+    discriminator: float
+
+
 def generator_loss(model: nets.Model, x: Tensor, z: Tensor, x_rec: Tensor,
                    config: TrainConfig) -> GeneratorLoss:
     """The objective the generator update minimizes, for a batch ``x``,
@@ -311,18 +321,18 @@ def generator_loss(model: nets.Model, x: Tensor, z: Tensor, x_rec: Tensor,
     image = ls.image_reconstruction_loss(x, x_rec)
     latent = ls.latent_representation_loss(z, z_rec)
     adversarial = ls.generator_adversarial_loss(nets.discriminate(model, x_rec))
-    estimation = mx.estimation_loss(z_mix, gamma, gmm, LAMBDA1, LAMBDA2)
+    estimation = mx.estimation_loss(z_mix, gmm, LAMBDA1, LAMBDA2)
     total = ls.total_generator_loss(image, adversarial, latent, estimation, config.weights)
     return GeneratorLoss(image, adversarial, latent, estimation, total)
 
 
-def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.LossBreakdown:
+def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> StepRecord:
     """One discriminator update then one generator update on a batch.
 
     ``batch`` is a normalized [n x input_dim] design matrix with n >= 2,
     cast to the networks' dtype here.
     A zero adversarial weight disables the discriminator update entirely
-    (its loss is still evaluated for the log).  Each call adds one to
+    (its loss is still evaluated for the record).  Each call adds one to
     ``state.adam_generator.step_count``, the steps taken so far.
     """
     if batch.ndim != 2 or batch.shape[0] < 2:
@@ -336,7 +346,6 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     # Differentiated with respect to the discriminator only, so the
     # reconstruction is a fixed input here.
     disc_loss = ls.discriminator_loss(nets.discriminate(model, x), nets.discriminate(model, x_rec))
-    disc_loss_value = disc_loss.item()
     if config.weights.w_adversarial > 0.0:
         grads = ad.backward(disc_loss, state.adam_discriminator.params)
         adam_update(state.adam_discriminator, grads, clip_global_norm(grads, GRAD_CLIP))
@@ -345,14 +354,7 @@ def train_step(state: TrainState, batch: np.ndarray, config: TrainConfig) -> ls.
     grads = ad.backward(loss.total, state.adam_generator.params)
     adam_update(state.adam_generator, grads, clip_global_norm(grads, GRAD_CLIP))
 
-    return ls.LossBreakdown(
-        image_reconstruction=loss.image.item(),
-        adversarial_generator=loss.adversarial.item(),
-        adversarial_discriminator=disc_loss_value,
-        latent_reconstruction=loss.latent.item(),
-        estimation=loss.estimation.item(),
-        total=loss.total.item(),
-    )
+    return StepRecord(*(term.item() for term in loss), disc_loss.item())
 
 
 def full_dataset_mixture(model: nets.Model, design: np.ndarray, cov_eps: float) -> mx.GmmParams:
@@ -369,7 +371,7 @@ class FitResult:
     model: nets.Model
     norm_stats: NormStats
     gmm: mx.GmmParams
-    history: list
+    history: list[StepRecord]
 
 
 def fit(
@@ -377,10 +379,10 @@ def fit(
     arch: nets.ArchConfig,
     patches: PatchSet,
     checkpoint_path=None,
-    metrics_path=None,
 ) -> FitResult:
-    """Train on normal patches; returns the model, stats, and deployment
-    mixture, writing checkpoints and per-step metrics when paths are given.
+    """Train on normal patches; returns the model, stats, deployment
+    mixture and one ``StepRecord`` per step, writing checkpoints when a
+    path is given.
 
     Runs epochs * floor(n/batch_size) steps with per-epoch shuffling; a
     set of fewer than batch_size patches is rejected before training.
@@ -406,36 +408,22 @@ def fit(
     # In the networks' dtype once, so that no step converts its batch.
     design = stats.apply(patches.patches, state.model.encoder.dtype).reshape(len(patches), -1)
     rng = np.random.default_rng(config.seed)
-    history: list[ls.LossBreakdown] = []
-
-    metrics_file = open(metrics_path, "w", newline="") if metrics_path else None
-    writer = None
-    if metrics_file:
-        writer = csv.writer(metrics_file)
-        writer.writerow(METRICS_HEADER)
+    history: list[StepRecord] = []
 
     def write_checkpoint(gmm=None):
         if checkpoint_path is not None:
             nets.save_checkpoint(checkpoint_path, state.model, stats, gmm)
 
-    try:
-        steps_per_epoch = len(patches) // config.batch_size
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(patches))
-            for s in range(steps_per_epoch):
-                idx = order[s * config.batch_size:(s + 1) * config.batch_size]
-                breakdown = train_step(state, design[idx], config)
-                history.append(breakdown)
-                step = state.adam_generator.step_count
-                if writer:
-                    writer.writerow([step, epoch, *map(repr, astuple(breakdown))])
-                if step % config.checkpoint_every == 0:
-                    write_checkpoint()
-        final_gmm = full_dataset_mixture(state.model, design, config.cov_eps)
-        final_gmm.validate()
-        write_checkpoint(final_gmm)
-    finally:
-        if metrics_file:
-            metrics_file.close()
+    steps_per_epoch = len(patches) // config.batch_size
+    for _ in range(config.epochs):
+        order = rng.permutation(len(patches))
+        for s in range(steps_per_epoch):
+            idx = order[s * config.batch_size:(s + 1) * config.batch_size]
+            history.append(train_step(state, design[idx], config))
+            if state.adam_generator.step_count % config.checkpoint_every == 0:
+                write_checkpoint()
+    final_gmm = full_dataset_mixture(state.model, design, config.cov_eps)
+    final_gmm.validate()
+    write_checkpoint(final_gmm)
 
     return FitResult(model=state.model, norm_stats=stats, gmm=final_gmm, history=history)

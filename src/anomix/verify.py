@@ -195,7 +195,7 @@ def _mixture_loss_gradient_cases(rng):
 
     def mixture_loss(memberships):
         params = mx.estimate_gmm(z, memberships, eps=1e-3)
-        return mx.estimation_loss(z, memberships, params, tr.LAMBDA1, tr.LAMBDA2)
+        return mx.estimation_loss(z, params, tr.LAMBDA1, tr.LAMBDA2)
 
     return [
         ("mixture loss d/dz", lambda: mixture_loss(gamma), z),

@@ -144,9 +144,9 @@ class TestDense:
         for g, want in zip(got, _numpy_dense(x, w, b, c, "leaky_relu")):
             assert g.dtype == dtype and g.tobytes() == want.tobytes()
 
-    def test_leaky_relu_node_keeps_a_mask_not_a_float_factor(self):
-        # The node outlives its forward; a float factor kept for the
-        # backward would hold a second output-sized array as long.
+    def test_leaky_relu_node_keeps_only_its_output(self):
+        # The node outlives its forward; a mask or a float factor kept for
+        # the backward would hold another output-sized array as long.
         rng = np.random.default_rng(53)
         x = ad.Tensor(rng.standard_normal((832, 4096), dtype=np.float32))
         w = ad.Tensor(rng.standard_normal((4096, 512), dtype=np.float32) * np.float32(0.02))
@@ -157,9 +157,9 @@ class TestDense:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # The output, one byte per element of mask, and 64 KiB for small
-        # objects; a float32 factor would add 1.6 MiB.
-        assert held <= out.data.nbytes + out.data.size + 64 * 1024, held
+        # The output and 64 KiB for small objects; a one-byte mask would
+        # add 416 KiB and a float32 factor 1.6 MiB.
+        assert held <= out.data.nbytes + 64 * 1024, held
 
     def test_one_node_per_layer(self):
         x, w, b = (ad.Tensor(a) for a in self._operands(np.float64)[:3])

@@ -1,7 +1,5 @@
 """Scoring semantics, and AUC and ROC points vs brute-force oracles."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -259,7 +257,12 @@ class TestScoring:
             ev.score_patchset(model, data, stats, mode=mode, gmm=gmm)
 
     # Each chunk ends at a cut; a cut of 0 is the design's end.  The
-    # narrow arch is the fit-narrow benchmark workload's.
+    # narrow arch is the fit-narrow benchmark workload's.  At 40 rows or
+    # fewer each of its products (the widest is 256×64) is at most 1e6
+    # multiply-adds, so the whole design and every chunk take OpenBLAS's
+    # one small-matrix kernel.  The default arch's 512×128 and 128×8
+    # layers cross that switch, and a chunk there may differ in the last
+    # bits (see the ``evaluation`` docstring).
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(rows=st.integers(1, 40), cuts=st.lists(st.integers(0, 40), max_size=8), seed=st.integers(0, 2**16),
            dtype=st.sampled_from(["float32", "float64"]), mode=st.sampled_from(["latent", "energy"]))
@@ -285,14 +288,3 @@ class TestScoring:
         ev.score_patchset(model, data, stats)
         for b, p in zip(before, model.all_parameters()):
             np.testing.assert_array_equal(b, p.data)
-
-
-class TestExports:
-    def test_scores_csv(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        ev.write_scores_csv(path, make_samples([0.25, 0.5], "an"))
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ev.SCORES_HEADER
-        assert rows[1] == ["s0", "0.25", "anomalous"]
-        assert rows[2] == ["s1", "0.5", "normal"]

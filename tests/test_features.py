@@ -424,6 +424,13 @@ class TestPatchContainer:
         with pytest.raises(InvalidInputError, match=f"label {bad} is not"):
             ft.PatchSet(patches=ps.patches, labels=labels)
 
+    # Each shape's length, where it has one, matches the patch count.
+    @pytest.mark.parametrize("n, labels", [(2, [[0, 1], [1, 0]]), (4, [[0]] * 4), (1, 0)])
+    def test_labels_of_other_than_one_dimension_rejected(self, n, labels):
+        ps = gen_synthetic_dataset(5, n, 0, shape=(4, 4))
+        with pytest.raises(InvalidInputError, match="labels must be one-dimensional"):
+            ft.PatchSet(patches=ps.patches, labels=labels)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_patch_value_rejected(self, value):
         ps = gen_synthetic_dataset(5, 4, 0, shape=(4, 4))

@@ -34,7 +34,6 @@ SPANS = ROOT / "benchmark" / "spans.py"
 PROBE_COMBINATORS = {"mul"}
 # Public names with no caller in src/anomix or benchmark/, and why.
 NO_CALLER_YET = {
-    "write_scores_csv": "waits for the planned `score` command",
     "run_all": "waits for the planned `verify --json` command",
 }
 # Config fields that no call in src/anomix or benchmark/ sets, and why.

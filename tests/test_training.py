@@ -1,6 +1,6 @@
 """Optimizer math, step isolation, determinism, and the training loop."""
 
-import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import anomix
 from anomix import autodiff as ad
 from anomix import evaluation as ev
+from anomix import losses as ls
 from anomix import networks as nets
 from anomix import training as tr
 from anomix.errors import DataError, InvalidConfigError, InvalidInputError, NumericError
@@ -449,9 +450,28 @@ class TestTrainStep:
         for _ in range(5):
             bd = tr.train_step(state, batch, cfg)
             w = cfg.weights
-            composed = (w.w_image * bd.image_reconstruction + w.w_adversarial * bd.adversarial_generator
-                        + w.w_latent * bd.latent_reconstruction + w.w_estimation * bd.estimation)
+            composed = (w.w_image * bd.image + w.w_adversarial * bd.adversarial
+                        + w.w_latent * bd.latent + w.w_estimation * bd.estimation)
             assert abs(bd.total - composed) < 1e-12
+
+    def test_step_record_holds_each_terms_value(self, monkeypatch):
+        losses = []
+
+        def recording(fn):
+            def wrapped(*args):
+                losses.append(fn(*args))
+                return losses[-1]
+            return wrapped
+
+        monkeypatch.setattr(tr, "generator_loss", recording(tr.generator_loss))
+        monkeypatch.setattr(ls, "discriminator_loss", recording(ls.discriminator_loss))
+        state, batch = self._state_and_batch(3)
+        record = tr.train_step(state, batch, tr.TrainConfig(batch_size=8))
+        disc, gen = losses
+        names = [f.name for f in dataclasses.fields(tr.StepRecord)]
+        assert names == [*tr.GeneratorLoss._fields, "discriminator"]
+        want = [*(term.item() for term in gen), disc.item()]
+        assert np.array([getattr(record, name) for name in names]).tobytes() == np.array(want).tobytes()
 
     def test_batch_of_one_rejected(self):
         state, batch = self._state_and_batch()
@@ -619,20 +639,6 @@ class TestFit:
         assert param_digest(result.model.all_parameters()) == param_digest(fresh.all_parameters())
         assert result.history == []
 
-    def test_metrics_csv_rows_match_steps(self, tmp_path):
-        data = tiny_data()
-        metrics = tmp_path / "metrics.csv"
-        cfg = tr.TrainConfig(epochs=2, batch_size=16, seed=1)
-        result = tr.fit(cfg, TINY_ARCH, data, metrics_path=metrics)
-        with metrics.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == tr.METRICS_HEADER
-        assert all(len(row) == len(tr.METRICS_HEADER) for row in rows)
-        assert len(rows) - 1 == len(result.history) == 2 * (64 // 16)
-        assert [int(row[0]) for row in rows[1:]] == list(range(1, len(rows)))
-        for row, bd in zip(rows[1:], result.history):
-            assert float(row[7]) == bd.total
-
     def test_checkpoints_byte_identical_across_runs(self, tmp_path):
         data = tiny_data()
         cfg = tr.TrainConfig(epochs=1, batch_size=16, seed=9)
@@ -697,21 +703,17 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             tr.fit(TINY_CONFIG, TINY_ARCH, data)
 
-    def test_rejects_fewer_patches_than_batch(self, tmp_path):
-        metrics = tmp_path / "metrics.csv"
+    def test_rejects_fewer_patches_than_batch(self):
         with pytest.raises(InvalidInputError):
-            tr.fit(tr.TrainConfig(batch_size=64), TINY_ARCH, tiny_data(n=10), metrics_path=metrics)
-        assert not metrics.exists()
+            tr.fit(tr.TrainConfig(batch_size=64), TINY_ARCH, tiny_data(n=10))
 
-    def test_rejects_invalid_arch_before_any_state(self, tmp_path):
-        metrics = tmp_path / "metrics.csv"
+    def test_rejects_invalid_arch_before_any_state(self):
         for bad in (dict(latent_dim=0), dict(latent_dim=2.5), dict(encoder_widths=(8.0,)),
                     dict(n_components=3.0), dict(input_dim="256"), dict(encoder_widths=[32, 16]),
                     dict(estimator_widths=[8]), dict(latent_dim=True), dict(estimator_widths=(True,))):
             arch = nets.ArchConfig(**{**dict(input_dim=256), **bad})
             with pytest.raises(InvalidConfigError, match=next(iter(bad))):
-                tr.fit(TINY_CONFIG, arch, tiny_data(), metrics_path=metrics)
-            assert not metrics.exists()
+                tr.fit(TINY_CONFIG, arch, tiny_data())
 
     def test_rejects_mismatched_arch(self):
         with pytest.raises(InvalidConfigError):
@@ -743,10 +745,10 @@ class TestFit:
         def failing_step(state, batch, config):
             if state.adam_generator.step_count == 4:
                 raise NumericError("injected failure in step 5")
-            breakdown = train_step(state, batch, config)
+            record = train_step(state, batch, config)
             if state.adam_generator.step_count == 4:
                 after_step_4.extend(p.data.copy() for p in state.model.all_parameters())
-            return breakdown
+            return record
 
         monkeypatch.setattr(tr, "train_step", failing_step)
         cfg = tr.TrainConfig(epochs=2, batch_size=16, seed=0, checkpoint_every=2)
@@ -761,6 +763,7 @@ class TestFit:
 
     def test_final_mixture_satisfies_invariants(self):
         result = tr.fit(TINY_CONFIG, TINY_ARCH, tiny_data())
+        assert len(result.history) == 2 * (64 // 16)    # one record per step
         result.gmm.validate()
         alpha, _, _ = result.gmm.as_arrays()
         assert abs(alpha.sum() - 1.0) < 1e-9
